@@ -101,6 +101,60 @@ void BM_SchedulerWindowCommit(benchmark::State& state) {
 BENCHMARK(BM_SchedulerWindowCommit)
     ->ArgsProduct({{1, 64, 4096}, {0, 1}});
 
+// The medium's pattern on a 400-node mesh: every transmission commits
+// one batch of rx_start/rx_end pairs (now + prop, now + prop + airtime)
+// for 400 receivers, with the medium's 32-byte captures, into a queue
+// that self-rearming timers keep about 2k deep; then the fan-out drains.
+void BM_SchedulerFanout(benchmark::State& state) {
+  constexpr std::size_t kReceivers = 400;
+  constexpr std::size_t kTimers = 2048;
+  const auto airtime = sim::Duration::micros(200);
+  const auto period = sim::Duration::millis(10);
+  sim::Scheduler sched;
+  std::uint64_t sum = 0;
+  // A timer rearms itself one period on, so the depth never changes.
+  struct Timer {
+    sim::Scheduler* sched;
+    sim::Duration period;
+    std::uint64_t* sum;
+    void operator()() const {
+      ++*sum;
+      sched->schedule_in(period, *this);
+    }
+  };
+  for (std::size_t i = 0; i < kTimers; ++i) {
+    sched.schedule_in(period * static_cast<std::int64_t>(i) /
+                          static_cast<std::int64_t>(kTimers),
+                      Timer{&sched, period, &sum});
+  }
+  std::vector<sim::Scheduler::BatchEvent> batch;
+  for (auto _ : state) {
+    const auto now = sched.now();
+    for (std::size_t d = 0; d < kReceivers; ++d) {
+      // 1–120 ns of propagation, like receivers up to ~36 m away.
+      const auto prop = sim::Duration::nanos(
+          static_cast<std::int64_t>(1 + (d * 7919) % 120));
+      const std::uint64_t id = d;
+      const double power = -60.0 - static_cast<double>(d % 30);
+      std::uint64_t* const out = &sum;
+      batch.push_back({now + prop, [out, id, power, prop] {
+                         *out += id + static_cast<std::uint64_t>(
+                                          power + prop.micros_f());
+                       }});
+      batch.push_back({now + prop + airtime, [out, id, power, prop] {
+                         *out ^= id + static_cast<std::uint64_t>(
+                                          power + prop.micros_f());
+                       }});
+    }
+    sched.schedule_batch(batch);
+    sched.run_until(now + airtime + sim::Duration::micros(1));
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * kReceivers));
+}
+BENCHMARK(BM_SchedulerFanout);
+
 void BM_Crc32(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)));
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -219,6 +219,9 @@ class CulledBackendBase : public PrecomputedBackend {
     grid_.neighborhood(phys[s]->config().position,
                        [&](std::uint32_t i) { candidates.push_back(i); });
     std::sort(candidates.begin(), candidates.end());
+    // One allocation per list instead of a doubling series: the medium
+    // builds lazily at the first transmission, inside the event loop.
+    lists_[s].reserve(candidates.size());
     const double floor = cull_floor_dbm(config);
     for (const std::uint32_t i : candidates) {
       if (i == s) continue;
@@ -562,14 +565,23 @@ sim::Duration Medium::start_transmission(Phy& src, PhyFrame frame) {
   batch_ids_.clear();
   sim_.scheduler().schedule_batch(batch_, &batch_ids_);
   // Hand each receiver the ids of its rx pair so detach() can cancel
-  // in-flight deliveries. Ids whose events already ran are compacted
-  // out first, keeping each vector at the live in-flight count instead
-  // of growing with history.
+  // in-flight deliveries (cancelling an id whose event already ran is a
+  // no-op). Ids whose events already ran are compacted out only when a
+  // push would outgrow the vector, and a compaction that frees less
+  // than half of it doubles it: the vector stays within a small
+  // multiple of the receiver's in-flight high-water mark, at amortized
+  // O(1) pending() probes per push instead of one per held id per
+  // transmission.
   auto& scheduler = sim_.scheduler();
   for (std::size_t i = 0; i < deliveries.size(); ++i) {
     auto& pend = deliveries[i].destination->pending_rx_events_;
-    std::erase_if(pend,
-                  [&](sim::EventId id) { return !scheduler.pending(id); });
+    if (pend.size() + 2 > pend.capacity()) {
+      std::erase_if(pend,
+                    [&](sim::EventId id) { return !scheduler.pending(id); });
+      if (2 * pend.size() > pend.capacity()) {
+        pend.reserve(2 * pend.capacity());
+      }
+    }
     pend.push_back(batch_ids_[2 * i]);
     pend.push_back(batch_ids_[2 * i + 1]);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 
 #include "util/mutex.h"
@@ -66,7 +67,6 @@ struct Scheduler::WindowEngine {
     std::uint32_t idx;
     enum class State : std::uint8_t { kReady, kRunning, kDone };
     State state;
-    Callback cb;
   };
   // One affinity's window events, in canonical-key order. Execution
   // within a group is strictly sequential (`busy` + the head pointer);
@@ -79,13 +79,12 @@ struct Scheduler::WindowEngine {
   // A schedule issued inside the window that lands at or after the
   // window end: buffered, then committed in canonical creator order at
   // the barrier so sequence numbers match serial execution.
+  // Its callback and affinity already sit in the slot.
   struct PendingOp {
     std::size_t creator;  // index of the issuing event in `events`
     std::uint32_t op;     // creation order within the creator
     TimePoint at;
     std::uint32_t slot;
-    std::uint32_t affinity;
-    Callback cb;
   };
 
   // ---- coordinator state (win_mutex) --------------------------------
@@ -120,7 +119,7 @@ struct Scheduler::WindowEngine {
   // Main-thread-only scratch (reused across windows): collect_buf feeds
   // begin(), commit_buf drains pending_ops at the barrier. Neither is
   // ever touched while the pool is running a batch.
-  std::vector<Entry> collect_buf;
+  std::vector<Key> collect_buf;
   std::vector<PendingOp> commit_buf;
 
   // Builds the per-window state from the collected (heap-order) events.
@@ -128,7 +127,7 @@ struct Scheduler::WindowEngine {
   // this state until the pool's batch handoff publishes it (the workers
   // observe the generation bump under the pool's own mutex), a
   // publication protocol the analysis cannot follow — hence the escape.
-  void begin(std::vector<Entry>& collected,
+  void begin(std::vector<Key>& collected,
              TimePoint end) NO_THREAD_SAFETY_ANALYSIS {
     events.clear();
     groups.clear();
@@ -138,16 +137,17 @@ struct Scheduler::WindowEngine {
     window_end = end;
     ran = 0;
     last_ran_at = TimePoint::origin();
-    for (auto& entry : collected) {
+    for (const Key& key : collected) {
       const std::size_t i = events.size();
-      events.push_back(Event{entry.at, entry.slot, entry.affinity, kNoCreator,
+      const std::uint32_t affinity = owner->slots_[key.slot].affinity;
+      events.push_back(Event{key.at, key.slot, affinity, kNoCreator,
                              static_cast<std::uint32_t>(i),
-                             Event::State::kReady, std::move(entry.cb)});
+                             Event::State::kReady});
       const auto [it, inserted] =
-          group_of.try_emplace(entry.affinity, groups.size());
+          group_of.try_emplace(affinity, groups.size());
       if (inserted) groups.emplace_back();
       groups[it->second].members.push_back(i);
-      resident_affinity.emplace(entry.slot, entry.affinity);
+      resident_affinity.emplace(key.slot, affinity);
     }
     collected.clear();
   }
@@ -179,12 +179,16 @@ struct Scheduler::WindowEngine {
   // event is owned by exactly one thread until finish_locked).
   bool execute(std::size_t ei, Event& e) EXCLUDES(win_mutex, op_mutex) {
     bool live = false;
+    Callback cb;
     {
+      // Under op_mutex: a concurrent window_schedule may grow (and so
+      // reallocate) the slot table.
       const util::MutexLock lock(op_mutex);
       if (owner->slots_[e.slot].pending) {
         live = true;
         --owner->pending_count_;
       }
+      cb = std::move(owner->callbacks_[e.slot]);
       owner->vacate(e.slot);
       resident_affinity.erase(e.slot);
     }
@@ -197,7 +201,7 @@ struct Scheduler::WindowEngine {
     ctx.ev = ei;
     ExecContext* const prev = tl_ctx_;
     tl_ctx_ = &ctx;
-    e.cb();
+    cb();
     tl_ctx_ = prev;
     return true;
   }
@@ -300,11 +304,11 @@ struct Scheduler::WindowEngine {
   // its creator's group at the canonical position serial execution
   // would give it.
   void add_child(TimePoint at, std::uint32_t slot, const ExecContext& ctx,
-                 std::uint32_t op, Callback cb) EXCLUDES(win_mutex) {
+                 std::uint32_t op) EXCLUDES(win_mutex) {
     const util::MutexLock lock(win_mutex);
     const std::size_t idx = events.size();
     events.push_back(Event{at, slot, ctx.affinity, ctx.ev, op,
-                           Event::State::kReady, std::move(cb)});
+                           Event::State::kReady});
     Group& g = groups[group_of.at(ctx.affinity)];
     // Insert in canonical order among the unrun members. The creator is
     // the running head (members[next]) and the child sorts strictly
@@ -324,7 +328,18 @@ thread_local std::uint32_t Scheduler::tl_affinity_override_ =
     Scheduler::kNoAffinity;
 thread_local bool Scheduler::tl_affinity_override_set_ = false;
 
-Scheduler::Scheduler() = default;
+Scheduler::Scheduler() {
+  // 4096 keys (96 KB of address space, touched only as the queue grows)
+  // spare a simulation the first dozen doublings of the key heap. The
+  // size is deliberate: freeing a block of at least 64 KB makes glibc
+  // consolidate its small-chunk free lists, so tearing a simulation down
+  // leaves its memory coalesced for the next one instead of deferring
+  // that work into the next Scenario::build (measured on a 4-vCPU VM:
+  // +34% setup time on the paper's small topologies with a 3 KB heap).
+  // It stays below the 128 KB mmap threshold, which would bypass the
+  // arena.
+  heap_.reserve(4096);
+}
 Scheduler::~Scheduler() = default;
 
 Scheduler::AffinityScope::AffinityScope(std::uint32_t affinity)
@@ -384,16 +399,20 @@ void Scheduler::acquire_shared_turn() {
   ctx->scheduler->win_->wait_for_turn(*ctx);
 }
 
-std::uint32_t Scheduler::acquire_slot() {
+std::uint32_t Scheduler::acquire_slot(std::uint32_t affinity, Callback cb) {
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
+    callbacks_.push_back(std::move(cb));
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
+    callbacks_[slot] = std::move(cb);
   }
-  slots_[slot].pending = true;
+  Slot& s = slots_[slot];
+  s.pending = true;
+  s.affinity = affinity;
   ++pending_count_;
   return slot;
 }
@@ -412,12 +431,12 @@ EventId Scheduler::window_schedule(TimePoint at, std::uint32_t affinity,
     // dependent across threads, but they are unobservable — nothing in
     // a simulation's behaviour reads them.
     const util::MutexLock lock(win_->op_mutex);
-    slot = acquire_slot();
+    slot = acquire_slot(affinity, std::move(cb));
     id = EventId(pack_id(slots_[slot].generation, slot));
     child = at < win_->window_end;
     if (!child) {
-      win_->pending_ops.push_back(WindowEngine::PendingOp{
-          ctx.ev, op, at, slot, affinity, std::move(cb)});
+      win_->pending_ops.push_back(
+          WindowEngine::PendingOp{ctx.ev, op, at, slot});
     } else {
       win_->resident_affinity.emplace(slot, ctx.affinity);
     }
@@ -430,7 +449,7 @@ EventId Scheduler::window_schedule(TimePoint at, std::uint32_t affinity,
     // a provider that over-promises.
     HYDRA_ASSERT_MSG(affinity == ctx.affinity,
                      "a same-window child must stay on its creator's node");
-    win_->add_child(at, slot, ctx, op, std::move(cb));
+    win_->add_child(at, slot, ctx, op);
   }
   return id;
 }
@@ -441,10 +460,8 @@ EventId Scheduler::schedule_at(TimePoint at, Callback cb) {
   }
   HYDRA_ASSERT_MSG(at >= now_, "cannot schedule into the past");
   HYDRA_ASSERT(cb != nullptr);
-  const std::uint32_t slot = acquire_slot();
-  heap_.push_back(
-      Entry{at, next_seq_++, slot, current_affinity(), std::move(cb)});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  const std::uint32_t slot = acquire_slot(current_affinity(), std::move(cb));
+  push_key(Key{at, next_seq_++, slot});
   // generation >= 1 always, so a packed id is never 0 (the invalid id).
   return EventId(pack_id(slots_[slot].generation, slot));
 }
@@ -470,32 +487,17 @@ void Scheduler::schedule_batch(std::vector<BatchEvent>& events,
     events.clear();
     return;
   }
-  const std::size_t existing = heap_.size();
-  heap_.reserve(existing + events.size());
+  heap_.reserve(heap_.size() + events.size());
   if (ids) ids->reserve(ids->size() + events.size());
   for (auto& event : events) {
     HYDRA_ASSERT_MSG(event.at >= now_, "cannot schedule into the past");
     HYDRA_ASSERT(event.cb != nullptr);
-    const std::uint32_t slot = acquire_slot();
-    if (ids) ids->push_back(EventId(pack_id(slots_[slot].generation, slot)));
     const std::uint32_t affinity = event.affinity == kNoAffinity
                                        ? current_affinity()
                                        : event.affinity;
-    heap_.push_back(
-        Entry{event.at, next_seq_++, slot, affinity, std::move(event.cb)});
-  }
-  // Restore the heap invariant: k sift-ups cost O(k log n) and one
-  // make_heap pass costs O(n), so a batch that is small next to the
-  // heap sifts and a dominating one (a large delivery fan-out into a
-  // quiet heap) heapifies in one sweep.
-  if (events.size() >= existing / 8) {
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-  } else {
-    for (std::size_t i = existing; i < heap_.size(); ++i) {
-      std::push_heap(heap_.begin(),
-                     heap_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                     Later{});
-    }
+    const std::uint32_t slot = acquire_slot(affinity, std::move(event.cb));
+    if (ids) ids->push_back(EventId(pack_id(slots_[slot].generation, slot)));
+    push_key(Key{event.at, next_seq_++, slot});
   }
   events.clear();
 }
@@ -569,35 +571,86 @@ void Scheduler::vacate(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
+void Scheduler::discard(std::uint32_t slot) {
+  callbacks_[slot] = nullptr;
+  vacate(slot);
+}
+
+void Scheduler::sift_up(std::size_t hole, Key key) {
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 4;
+    if (!before(key, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = key;
+}
+
+void Scheduler::push_key(const Key& key) {
+  heap_.push_back(key);
+  sift_up(heap_.size() - 1, key);
+}
+
+void Scheduler::pop_key() {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // Walk the root's hole down along the smallest children to a leaf,
+  // then let the displaced last key rise from there: it came from the
+  // bottom, so it rarely rises far, and the walk down skips comparing
+  // against it on every level.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = 4 * hole + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    if (first + 3 < n) {
+      const std::size_t lo = before(heap_[first + 1], heap_[first])
+                                 ? first + 1 : first;
+      const std::size_t hi = before(heap_[first + 3], heap_[first + 2])
+                                 ? first + 3 : first + 2;
+      best = before(heap_[hi], heap_[lo]) ? hi : lo;
+    } else {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (before(heap_[c], heap_[best])) best = c;
+      }
+    }
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  sift_up(hole, last);
+}
+
 std::optional<TimePoint> Scheduler::peek_next_time() {
   while (!heap_.empty()) {
-    if (slots_[heap_.front().slot].pending) return heap_.front().at;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    vacate(heap_.back().slot);
-    heap_.pop_back();
+    const Key head = heap_.front();
+    if (slots_[head.slot].pending) return head.at;
+    pop_key();
+    discard(head.slot);
   }
   return std::nullopt;
 }
 
-void Scheduler::pop_and_run() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Entry entry = std::move(heap_.back());
-  heap_.pop_back();
-  const bool live = slots_[entry.slot].pending;
-  vacate(entry.slot);
-  if (!live) return;  // cancelled; already discounted from pending_count_
+void Scheduler::run_event(const Key& key) {
+  // Moved out before anything else: the callback may schedule events,
+  // which can reuse this slot or grow (reallocate) the slot table.
+  Callback cb = std::move(callbacks_[key.slot]);
+  const std::uint32_t affinity = slots_[key.slot].affinity;
+  vacate(key.slot);
   --pending_count_;
-  HYDRA_ASSERT(entry.at >= now_);
-  now_ = entry.at;
+  HYDRA_ASSERT(key.at >= now_);
+  now_ = key.at;
   ++executed_;
   // Children scheduled from the callback inherit the event's affinity.
   ExecContext ctx;
   ctx.scheduler = this;
-  ctx.at = entry.at;
-  ctx.affinity = entry.affinity;
+  ctx.at = key.at;
+  ctx.affinity = affinity;
   ExecContext* const prev = tl_ctx_;
   tl_ctx_ = &ctx;
-  entry.cb();
+  cb();
   tl_ctx_ = prev;
 }
 
@@ -606,27 +659,26 @@ bool Scheduler::run_parallel_window(TimePoint deadline) {
   const Duration look = lookahead_();
   if (look <= Duration::zero() || look == Duration::infinite()) return false;
   WindowEngine& win = *win_;
-  // The caller peeked, so the head is live; its time anchors the window.
+  // The caller checked that the head is live; its time anchors the
+  // window.
   const TimePoint window_end = heap_.front().at + look;
   auto& collected = win.collect_buf;
   collected.clear();
   while (!heap_.empty()) {
-    const Entry& head = heap_.front();
+    const Key head = heap_.front();
     if (head.at >= window_end || head.at > deadline) break;
     if (!slots_[head.slot].pending) {  // cancelled: drop lazily
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      vacate(heap_.back().slot);
-      heap_.pop_back();
+      pop_key();
+      discard(head.slot);
       continue;
     }
     // An untagged event may touch anything, so it fences the window:
     // everything before it runs in the window, it runs serially after
     // the barrier. Partially tagged workloads stay correct, just less
     // parallel.
-    if (head.affinity == kNoAffinity) break;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    collected.push_back(std::move(heap_.back()));
-    heap_.pop_back();
+    if (slots_[head.slot].affinity == kNoAffinity) break;
+    pop_key();
+    collected.push_back(head);
   }
   if (collected.empty()) return false;
   win.begin(collected, window_end);
@@ -677,24 +729,13 @@ bool Scheduler::run_parallel_window(TimePoint deadline) {
                   return a.op < b.op;
                 });
     }
-    const std::size_t existing = heap_.size();
-    heap_.reserve(existing + ops.size());
-    for (auto& op : ops) {
+    heap_.reserve(heap_.size() + ops.size());
+    for (const auto& op : ops) {
       HYDRA_ASSERT(op.at >= now_);
       // A deferred schedule cancelled later in the same window kept its
       // slot non-pending; pushing it anyway reproduces the serial lazy
-      // cancel (the entry is dropped when it surfaces).
-      heap_.push_back(
-          Entry{op.at, next_seq_++, op.slot, op.affinity, std::move(op.cb)});
-    }
-    if (ops.size() >= existing / 8) {
-      std::make_heap(heap_.begin(), heap_.end(), Later{});
-    } else {
-      for (std::size_t i = existing; i < heap_.size(); ++i) {
-        std::push_heap(heap_.begin(),
-                       heap_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                       Later{});
-      }
+      // cancel (the key is dropped when it surfaces).
+      push_key(Key{op.at, next_seq_++, op.slot});
     }
     ops.clear();
   }
@@ -707,36 +748,40 @@ bool Scheduler::run_parallel_window(TimePoint deadline) {
   return true;
 }
 
-std::size_t Scheduler::run() {
-  const auto before = executed_;
-  while (peek_next_time()) {
-    if (policy_ == ExecutionPolicy::kParallelWindows &&
-        run_parallel_window(TimePoint::at(Duration::infinite()))) {
+void Scheduler::run_loop(TimePoint deadline) {
+  const bool windows = policy_ == ExecutionPolicy::kParallelWindows;
+  while (!heap_.empty()) {
+    const Key head = heap_.front();
+    if (!slots_[head.slot].pending) {  // cancelled: drop lazily
+      pop_key();
+      discard(head.slot);
       continue;
     }
-    pop_and_run();
+    if (head.at > deadline) break;
+    if (windows && run_parallel_window(deadline)) continue;
+    pop_key();
+    run_event(head);
   }
+}
+
+std::size_t Scheduler::run() {
+  const auto before = executed_;
+  run_loop(TimePoint::at(Duration::infinite()));
   return executed_ - before;
 }
 
 std::size_t Scheduler::run_until(TimePoint deadline) {
   const auto before = executed_;
-  for (;;) {
-    const auto next = peek_next_time();
-    if (!next || *next > deadline) break;
-    if (policy_ == ExecutionPolicy::kParallelWindows &&
-        run_parallel_window(deadline)) {
-      continue;
-    }
-    pop_and_run();
-  }
+  run_loop(deadline);
   if (now_ < deadline) now_ = deadline;
   return executed_ - before;
 }
 
 bool Scheduler::step() {
   if (!peek_next_time()) return false;
-  pop_and_run();
+  const Key head = heap_.front();
+  pop_key();
+  run_event(head);
   return true;
 }
 

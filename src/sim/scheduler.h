@@ -1,5 +1,6 @@
-// Discrete-event scheduler: a stable min-heap of (time, sequence) events,
-// with an opt-in conservative parallel mode (Chandy–Misra-style lookahead
+// Discrete-event scheduler: a stable 4-ary min-heap of (time, sequence)
+// keys over a slot table that holds each event's callback, with an
+// opt-in conservative parallel mode (Chandy–Misra-style lookahead
 // windows executed on a util::TaskPool — see ExecutionPolicy below).
 #pragma once
 
@@ -95,9 +96,8 @@ class Scheduler {
   };
   // Commits every event of `events` (in order — the sequence numbers are
   // assigned contiguously, so same-instant FIFO semantics match N
-  // schedule_at calls exactly) and restores the heap in one pass when
-  // the batch is large relative to it, instead of N sift-ups. The medium
-  // uses this to commit a whole transmission's delivery fan-out at once.
+  // schedule_at calls exactly). The medium uses this to commit a whole
+  // transmission's delivery fan-out at once.
   // With `ids`, the EventId of every committed event is appended in
   // batch order (the ids cost nothing extra — batch events already
   // occupy cancel slots), so callers can cancel individual deliveries
@@ -179,25 +179,24 @@ class Scheduler {
   };
 
  private:
-  struct Entry {
+  // What the heap orders: plain 24-byte keys, so sifting never touches
+  // a callback. An event's callback stays parked in callbacks_[slot]
+  // from schedule until it is moved out, once, to run (or destroyed in
+  // place when its cancelled key surfaces).
+  struct Key {
     TimePoint at;
     std::uint64_t seq;   // tie-breaker: FIFO among same-time events
-    std::uint32_t slot;  // index into slots_
-    std::uint32_t affinity;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
+    std::uint32_t slot;  // index into slots_ / callbacks_
   };
   // One live-event slot. `generation` stamps the EventId handed out for
   // the slot's current occupant; vacating the slot bumps it, so cancel()
   // can tell "still pending" from "already ran / already cancelled /
-  // slot reused" with two array loads instead of hash-set lookups.
+  // slot reused" with two array loads instead of hash-set lookups. Kept
+  // apart from the callbacks so the run loop's liveness check on the
+  // head touches only this small array.
   struct Slot {
     std::uint32_t generation = 1;
+    std::uint32_t affinity = kNoAffinity;
     bool pending = false;
   };
 
@@ -212,9 +211,27 @@ class Scheduler {
   struct WindowEngine;
   friend struct WindowEngine;
 
-  void pop_and_run();
-  std::uint32_t acquire_slot();
+  // Takes a free slot for a new event and parks its callback there.
+  std::uint32_t acquire_slot(std::uint32_t affinity, Callback cb);
   void vacate(std::uint32_t slot);
+  // Vacates a cancelled event's slot when its key surfaces, destroying
+  // the parked callback.
+  void discard(std::uint32_t slot);
+  // Runs the live event of `key`, already popped off the heap.
+  void run_event(const Key& key);
+  // The serial/parallel event loop shared by run() and run_until().
+  void run_loop(TimePoint deadline);
+
+  // 4-ary heap over heap_, sifting a hole rather than swapping: half
+  // the depth of a binary heap, and the four children of a node are
+  // adjacent keys.
+  static bool before(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+  void push_key(const Key& key);
+  void pop_key();
+  void sift_up(std::size_t hole, Key key);
+
   // The affinity new events get in the current context (AffinityScope
   // override first, then the executing event's, then kNoAffinity).
   static std::uint32_t current_affinity();
@@ -244,20 +261,19 @@ class Scheduler {
   unsigned workers_ = 0;
   LookaheadProvider lookahead_;
   std::unique_ptr<WindowEngine> win_;
-  // Kept in heap order by the std::*_heap algorithms (not a
-  // priority_queue: batch commits need to append a run of entries and
-  // restore the invariant in one make_heap pass).
-  std::vector<Entry> heap_;
+  std::vector<Key> heap_;
   // Slot storage grows to the high-water mark of concurrently scheduled
-  // events and is then recycled through the free list; cancelled heap
-  // entries are dropped lazily when popped. Concurrency discipline the
-  // annotations cannot express (the guarding mutex lives in the
-  // policy-dependent WindowEngine): outside window execution only the
-  // run loop's thread touches slots_/free_slots_/pending_count_; inside
-  // a window every access routes through the engine's op_mutex
-  // (window_schedule / window_cancel / execute). The TSan CI slice
-  // (`ctest -L parallel`) covers what GUARDED_BY here cannot.
+  // events and is then recycled through the free list; cancelled keys
+  // are dropped lazily when they surface. callbacks_ parallels slots_.
+  // Concurrency discipline the annotations cannot express (the guarding
+  // mutex lives in the policy-dependent WindowEngine): outside window
+  // execution only the run loop's thread touches slots_/callbacks_/
+  // free_slots_/pending_count_; inside a window every access routes
+  // through the engine's op_mutex (window_schedule / window_cancel /
+  // execute). The TSan CI slice (`ctest -L parallel`) covers what
+  // GUARDED_BY here cannot.
   std::vector<Slot> slots_;
+  std::vector<Callback> callbacks_;
   std::vector<std::uint32_t> free_slots_;
 
   static thread_local ExecContext* tl_ctx_;

@@ -360,6 +360,55 @@ TEST(MediumDetach, DetachCancelsInFlightDeliveries) {
   EXPECT_EQ(b.frames_received(), 0u) << "cancelled rx_end must not decode";
 }
 
+TEST(MediumDetach, DetachCancelsExactlyTheInFlightEventsOfManyOverlaps) {
+  // b holds the ids of every delivery made to it, including ones whose
+  // events already ran. After rounds of history, 24 overlapping frames
+  // are caught at 50 ns: near senders' rx_start has run (only rx_end is
+  // in flight), far senders' has not (both are). Detach must cancel
+  // exactly those events and leave every other receiver's alone.
+  for (const auto policy :
+       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
+        phy::DeliveryPolicy::kSharded}) {
+    SCOPED_TRACE(phy::to_string(policy));
+    sim::Simulation s(1);
+    phy::MediumConfig config;
+    config.delivery = policy;
+    phy::Medium medium(s, config);
+    phy::Phy b(s, medium, {.position = {0, 0}}, 0);
+    phy::Phy c(s, medium, {.position = {0, 5}}, 1);
+    std::vector<std::unique_ptr<phy::Phy>> senders;
+    constexpr int kSenders = 24;
+    const auto cutoff = sim::Duration::nanos(50);
+    std::uint64_t in_flight = 0;
+    for (int i = 0; i < kSenders; ++i) {
+      const double x = 3.0 + 1.25 * i;  // 3..31.75 m: 10..106 ns away
+      senders.push_back(std::make_unique<phy::Phy>(
+          s, medium, phy::PhyConfig{.position = {x, 0}},
+          static_cast<std::uint32_t>(2 + i)));
+      in_flight += phy::propagation_delay(config, x) <= cutoff ? 1 : 2;
+    }
+    for (int round = 0; round < 3; ++round) {
+      for (auto& sender : senders) {
+        sender->transmit(test_frame());
+        s.run();
+      }
+    }
+    for (auto& sender : senders) sender->transmit(test_frame());
+    s.run_until(s.now() + cutoff);
+    ASSERT_GT(in_flight, static_cast<std::uint64_t>(kSenders));
+    ASSERT_LT(in_flight, static_cast<std::uint64_t>(2 * kSenders));
+    const std::uint64_t b_starts = b.rx_starts();
+    ASSERT_EQ(b_starts, 4u * kSenders - (in_flight - kSenders));
+
+    const std::size_t pending = s.scheduler().pending_events();
+    EXPECT_TRUE(medium.detach(b));
+    EXPECT_EQ(pending - s.scheduler().pending_events(), in_flight);
+    s.run();
+    EXPECT_EQ(b.rx_starts(), b_starts);
+    EXPECT_EQ(c.rx_starts(), 4u * kSenders);
+  }
+}
+
 TEST(MediumDetach, DestroyingAPhyMidFlightLeavesNoDanglingEvents) {
   // The lifecycle bug this PR flushes out: a Phy destroyed while
   // rx_start/rx_end events are queued for it left dangling Phy*

@@ -5,6 +5,7 @@
 // in-window cancellation, zero-lookahead fallback).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <vector>
 
 #include "sim/scheduler.h"
@@ -207,15 +208,16 @@ TEST(SchedulerEdge, ParallelCountersTrackWindowsAndOverlap) {
   sched.set_execution(ExecutionPolicy::kParallelWindows, 4);
 
   // Four events on four distinct nodes inside one window: one window,
-  // four events executed with more than one concurrent group.
-  int runs = 0;
+  // four events executed with more than one concurrent group. The
+  // groups really run concurrently, so the shared counter is atomic.
+  std::atomic<int> runs = 0;
   for (std::uint32_t node = 0; node < 4; ++node) {
     Scheduler::AffinityScope scope(node);
     sched.schedule_at(TimePoint::at(Duration::millis(1 + node)),
                       [&] { ++runs; });
   }
   EXPECT_EQ(sched.run(), 4u);
-  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(runs.load(), 4);
   EXPECT_EQ(sched.windows_executed(), 1u);
   EXPECT_EQ(sched.parallel_events_executed(), 4u);
   EXPECT_EQ(sched.executed_events(), 4u);
