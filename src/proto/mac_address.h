@@ -15,7 +15,13 @@ class MacAddress {
   constexpr MacAddress() = default;
   constexpr explicit MacAddress(std::uint16_t value) : value_(value) {}
 
-  // Link address of the node with the given index (0-based).
+  // Nodes the 16-bit address space can name: index kMaxNodes - 1 maps
+  // to 0xfffe; one more would alias broadcast (0xffff), then wrap to
+  // the unspecified address (0).
+  static constexpr std::uint32_t kMaxNodes = 0xfffe;
+
+  // Link address of the node with the given index (0-based, below
+  // kMaxNodes).
   constexpr static MacAddress for_node(std::uint32_t node_index) {
     return MacAddress(static_cast<std::uint16_t>(node_index + 1));
   }

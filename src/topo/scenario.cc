@@ -7,6 +7,7 @@
 #include <numbers>
 #include <utility>
 
+#include "proto/mac_address.h"
 #include "sim/rng.h"
 #include "stats/metrics.h"
 #include "stats/table.h"
@@ -48,15 +49,6 @@ std::string to_string(MediumPolicy policy) {
     case MediumPolicy::kSharded: return "sharded";
   }
   HYDRA_UNREACHABLE("bad medium policy");
-}
-
-std::string to_string(SchedulerPolicy policy) {
-  switch (policy) {
-    case SchedulerPolicy::kAuto: return "auto";
-    case SchedulerPolicy::kSerial: return "serial";
-    case SchedulerPolicy::kParallelWindows: return "parallel-windows";
-  }
-  HYDRA_UNREACHABLE("bad scheduler policy");
 }
 
 double WorldBounds::diagonal_m() const {
@@ -422,12 +414,6 @@ phy::MediumConfig ScenarioSpec::medium_config() const {
   return mc;
 }
 
-sim::ExecutionPolicy ScenarioSpec::scheduler_policy() const {
-  return scheduler.policy == SchedulerPolicy::kParallelWindows
-             ? sim::ExecutionPolicy::kParallelWindows
-             : sim::ExecutionPolicy::kSerial;
-}
-
 WorldBounds ScenarioSpec::world_bounds() const {
   const auto pos = positions();
   HYDRA_ASSERT_MSG(!pos.empty(), "world_bounds of an empty scenario");
@@ -474,14 +460,11 @@ Scenario::Scenario(const ScenarioSpec& spec, std::uint64_t seed)
     : spec_(spec),
       sim_(std::make_unique<sim::Simulation>(seed)),
       medium_(std::make_unique<phy::Medium>(*sim_, spec.medium_config())),
-      trace_(std::make_shared<std::vector<std::string>>()) {
-  if (spec.scheduler_policy() == sim::ExecutionPolicy::kParallelWindows) {
-    sim_->set_execution(sim::ExecutionPolicy::kParallelWindows,
-                        spec.scheduler.workers);
-  }
-}
+      trace_(std::make_shared<std::vector<std::string>>()) {}
 
 Scenario Scenario::build(const ScenarioSpec& spec, std::uint64_t seed) {
+  HYDRA_ASSERT_MSG(spec.node_count() <= proto::MacAddress::kMaxNodes,
+                   "scenario exceeds the 16-bit MAC address space");
   Scenario s(spec, seed);
   // Each derived view feeds the next, computed once: positions →
   // adjacency → next hops → relays (kRandom's placement sampling and
@@ -577,10 +560,6 @@ namespace {
 void record_line(const sim::Simulation& sim, std::vector<std::string>& trace,
                  std::size_t node, const char* kind,
                  const proto::PacketPtr& pkt) {
-  // The trace is one global append-ordered vector: a parallel-window
-  // event must take its serial turn before writing, which is exactly
-  // what keeps trace digests bit-identical across execution policies.
-  sim::Scheduler::acquire_shared_turn();
   const auto bytes = pkt->serialize();
   char line[96];
   std::snprintf(line, sizeof line, "t=%lld n%zu %s len=%zu crc=%08x",

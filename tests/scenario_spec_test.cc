@@ -28,6 +28,23 @@ TEST(ScenarioSpec, FamilyNodeCounts) {
   EXPECT_EQ(ScenarioSpec::random(9).node_count(), 9u);
 }
 
+// Node index i gets MAC address i + 1 in a 16-bit space whose top value
+// is broadcast, so the last nameable node is index 0xfffd.
+TEST(ScenarioSpec, LastAddressableNodeGetsTheLastUnicastMac) {
+  EXPECT_EQ(proto::MacAddress::kMaxNodes, 0xfffeu);
+  const auto last = proto::MacAddress::for_node(0xfffd);
+  EXPECT_EQ(last.value(), 0xfffe);
+  EXPECT_FALSE(last.is_broadcast());
+  EXPECT_FALSE(last.is_unspecified());
+}
+
+TEST(ScenarioSpecDeathTest, RefusesScenariosBeyondTheMacAddressSpace) {
+  // 65535 nodes: index 0xfffe would alias broadcast. The build refuses
+  // before it allocates a single node.
+  EXPECT_DEATH(Scenario::build(ScenarioSpec::chain(0xffff), 1),
+               "16-bit MAC address space");
+}
+
 TEST(ScenarioSpec, PaperSpecsMatchLegacyTopologies) {
   // The enum-era builders placed chains at 2.5 m spacing on the x axis
   // and the Fig. 6 star at its hand-tuned coordinates; the named specs

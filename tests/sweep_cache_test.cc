@@ -199,13 +199,18 @@ topo::ExperimentResult full_result() {
   r.phy_incremental_detaches = 107;
   r.phy_incremental_moves = 108;
   r.sched_executed_events = 109;
-  r.sched_windows = 110;
-  r.sched_parallel_events = 111;
   r.heap_allocations = 112;
   r.heap_bytes_allocated = 113;
   r.pool_requests = 114;
   r.pool_recycled = 115;
   r.peak_rss_kb = 116;
+  r.tcp_retransmits = 117;
+  r.tcp_timeouts = 118;
+  r.tcp_acks_sent = 119;
+  r.tcp_acks_delayed = 120;
+  r.tcp_channel_losses = 121;
+  r.tcp_congestion_losses = 122;
+  r.transport_injected_drops = 123;
   return r;
 }
 
@@ -233,13 +238,19 @@ TEST(SweepCacheDisk, ResultRoundTripsThroughText) {
             restored.phy_incremental_detaches);
   EXPECT_EQ(original.phy_incremental_moves, restored.phy_incremental_moves);
   EXPECT_EQ(original.sched_executed_events, restored.sched_executed_events);
-  EXPECT_EQ(original.sched_windows, restored.sched_windows);
-  EXPECT_EQ(original.sched_parallel_events, restored.sched_parallel_events);
   EXPECT_EQ(original.heap_allocations, restored.heap_allocations);
   EXPECT_EQ(original.heap_bytes_allocated, restored.heap_bytes_allocated);
   EXPECT_EQ(original.pool_requests, restored.pool_requests);
   EXPECT_EQ(original.pool_recycled, restored.pool_recycled);
   EXPECT_EQ(original.peak_rss_kb, restored.peak_rss_kb);
+  EXPECT_EQ(original.tcp_retransmits, restored.tcp_retransmits);
+  EXPECT_EQ(original.tcp_timeouts, restored.tcp_timeouts);
+  EXPECT_EQ(original.tcp_acks_sent, restored.tcp_acks_sent);
+  EXPECT_EQ(original.tcp_acks_delayed, restored.tcp_acks_delayed);
+  EXPECT_EQ(original.tcp_channel_losses, restored.tcp_channel_losses);
+  EXPECT_EQ(original.tcp_congestion_losses, restored.tcp_congestion_losses);
+  EXPECT_EQ(original.transport_injected_drops,
+            restored.transport_injected_drops);
   const auto& n = original.node_stats[0];
   const auto& m = restored.node_stats[0];
   EXPECT_EQ(n.broadcast_subframes_tx, m.broadcast_subframes_tx);
@@ -247,9 +258,47 @@ TEST(SweepCacheDisk, ResultRoundTripsThroughText) {
   EXPECT_EQ(n.duplicates_suppressed, m.duplicates_suppressed);
   EXPECT_EQ(n.time.payload.ns(), m.time.payload.ns());
   EXPECT_EQ(n.time.backoff.ns(), m.time.backoff.ns());
+  // Every field at once: re-serializing the restored result reproduces
+  // the text byte for byte.
+  EXPECT_EQ(serialize_result(restored), serialize_result(original));
 
   EXPECT_FALSE(deserialize_result("", &restored));
   EXPECT_FALSE(deserialize_result("hydra-sweep-result 2\n", &restored));
+}
+
+TEST(SweepCacheDisk, VersionTwoPayloadReadsAsMiss) {
+  // A well-formed version-2 payload: the v3 text with the old header and
+  // the two parallel-scheduler counters (windows, parallel events) back
+  // after the executed-event count. It must be rejected outright, not
+  // parsed with every later counter shifted by two.
+  std::string v2 = serialize_result(full_result());
+  const std::string v3_header = "hydra-sweep-result 3\n";
+  ASSERT_EQ(v2.compare(0, v3_header.size(), v3_header), 0);
+  v2.replace(0, v3_header.size(), "hydra-sweep-result 2\n");
+  const std::string executed = " 108 109 ";
+  const auto at = v2.find(executed);
+  ASSERT_NE(at, std::string::npos);
+  v2.insert(at + executed.size(), "110 111 ");
+  topo::ExperimentResult restored;
+  EXPECT_FALSE(deserialize_result(v2, &restored));
+
+  // Left on disk by an older build, it degrades to a cache miss.
+  const auto dir = fresh_disk_dir("version2");
+  const std::string key = "v2|key";
+  const auto fp = crc32(
+      {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()});
+  char name[32];
+  std::snprintf(name, sizeof name, "%08x.sweep", fp);
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream old(std::filesystem::path(dir) / name);
+    old << key << "\n" << v2;
+  }
+  SweepCache reader;
+  reader.set_disk_dir(dir);
+  EXPECT_EQ(reader.find(key), nullptr);
+  EXPECT_EQ(reader.disk_hits(), 0u);
+  EXPECT_EQ(reader.misses(), 1u);
 }
 
 TEST(SweepCacheDisk, PersistsAcrossCacheInstances) {
