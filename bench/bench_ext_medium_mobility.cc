@@ -31,12 +31,11 @@ namespace {
 topo::ExperimentConfig flood_config(topo::MobilityKind kind) {
   topo::ExperimentConfig cfg;
   cfg.scenario = topo::ScenarioSpec::grid(25, 40);
-  // 10 m spacing, as in bench_ext_medium_shard: the reach radius
+  // 10 m spacing, as in bench_ext_medium_scale: the reach radius
   // (~36.5 m) covers a few lattice rings, so moves genuinely change
   // the delivery lists.
   cfg.scenario.spacing_m = 10.0;
   cfg.scenario.sessions.clear();
-  cfg.scenario.medium.policy = topo::MediumPolicy::kCulled;
   cfg.scenario.mobility.kind = kind;
   cfg.scenario.mobility.update_interval = sim::Duration::millis(250);
   cfg.scenario.mobility.stop_after = sim::Duration::seconds(2);
@@ -153,8 +152,7 @@ int main() {
         static_cast<std::uint32_t>(i)));
     ref_phys.push_back(ref_storage.back().get());
   }
-  const auto rebuild_backend =
-      phy::make_delivery_backend(phy::DeliveryPolicy::kCulled);
+  const auto rebuild_backend = phy::make_delivery_backend();
   rebuild_backend->rebuild(ref_phys, medium_config);  // warm-up
   // Rebuilding per move is quadratic-ish work; time a slice of the
   // schedule and scale, so the bench stays fast.

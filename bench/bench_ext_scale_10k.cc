@@ -1,10 +1,9 @@
 // Extension: allocation-free hot path at scale — flooded grids up to
-// N = 10000 nodes under the culled and sharded media, plus a
-// pooled-vs-heap ablation. Not a paper figure; it charts what the
-// recycling memory subsystem (util::pool, SmallFn callbacks, pooled
-// packets/PDUs/transmissions) buys: the paper's testbed stops at 6
-// nodes, and memory churn is what stands between an event simulator and
-// city-block topologies.
+// N = 10000 nodes, plus a pooled-vs-heap ablation. Not a paper figure;
+// it charts what the recycling memory subsystem (util::pool, SmallFn
+// callbacks, pooled packets/PDUs/transmissions) buys: the paper's
+// testbed stops at 6 nodes, and memory churn is what stands between an
+// event simulator and city-block topologies.
 //
 // Unlike the other scale benches this one drives topo::Scenario
 // directly instead of going through app::run_experiment, for two
@@ -23,11 +22,9 @@
 // like any other metric; peak RSS and wall time are host-dependent and
 // excluded (the driver skips wall/rss columns).
 //
-// Table 2 (scale): N = 1024 / 4096 / 10000 under culled and sharded@4
-// delivery. Transmissions, deliveries, fan-out and executed events are
-// pinned by the determinism contract across both backends (asserted
-// here before the table is emitted, and gated by the baseline);
-// deliveries per wall-second ride along unguarded as the
+// Table 2 (scale): N = 1024 / 4096 / 10000. Transmissions, deliveries,
+// fan-out and executed events are deterministic and gated by the
+// baseline; deliveries per wall-second ride along unguarded as the
 // throughput-shape column.
 #include <chrono>
 #include <cstdio>
@@ -48,9 +45,7 @@ namespace {
 
 constexpr std::uint64_t kSeed = 1;
 
-topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
-                              topo::MediumPolicy medium,
-                              std::size_t shard_threads) {
+topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols) {
   auto spec = topo::ScenarioSpec::grid(rows, cols);
   // 10 m spacing: the reach radius (~36.5 m) covers a few rings of the
   // lattice, so culled fan-out stays ~constant as N grows.
@@ -59,8 +54,6 @@ topo::ScenarioSpec flood_spec(std::size_t rows, std::size_t cols,
   // and skipping it keeps the N = 10000 build out of the O(N^2)
   // next-hop matrix.
   spec.sessions.clear();
-  spec.medium.policy = medium;
-  spec.medium.shard_threads = shard_threads;
   return spec;
 }
 
@@ -126,9 +119,9 @@ Run run_flood(const topo::ScenarioSpec& spec, sim::Duration sim_time) {
 }
 
 void ablation_table() {
-  // 32×32 = 1024 nodes, culled medium: one thread, one shard, so the
-  // run-loop allocation counters are exact.
-  const auto spec = flood_spec(32, 32, topo::MediumPolicy::kCulled, 0);
+  // 32×32 = 1024 nodes on one thread, so the run-loop allocation
+  // counters are exact.
+  const auto spec = flood_spec(32, 32);
   const auto sim_time = sim::Duration::seconds(2);
 
   util::set_pooling_enabled(true);
@@ -172,7 +165,7 @@ void ablation_table() {
       static_cast<double>(heap.heap_allocations) /
       static_cast<double>(pooled.heap_allocations ? pooled.heap_allocations
                                                   : 1);
-  bench::comment("N = 1024 flood, culled medium, serial scheduler; meters "
+  bench::comment("N = 1024 flood, serial scheduler; meters "
                  "wrap the event loop only. Pooling cuts operator-new "
                  "traffic %.1fx (recycle rate %.1f%%); identical "
                  "events/transmissions both ways.",
@@ -194,55 +187,28 @@ void scale_table() {
   const Size sizes[] = {{32, 32, sim::Duration::seconds(2)},
                         {64, 64, sim::Duration::seconds(1)},
                         {100, 100, sim::Duration::millis(500)}};
-  struct Config {
-    const char* label;
-    topo::MediumPolicy medium;
-    std::size_t shard_threads;
-  };
-  // Labels keep their "/serial" suffix: they key bench/baseline.json
-  // cells.
-  const Config configs[] = {
-      {"culled/serial", topo::MediumPolicy::kCulled, 0},
-      {"sharded4/serial", topo::MediumPolicy::kSharded, 4},
-  };
-
   stats::Table table({"config", "nodes", "tx frames", "deliveries",
                       "fan-out", "events", "Mdeliv/s run wall", "run wall s",
                       "build wall s"});
   for (const Size& size : sizes) {
     const std::size_t nodes = size.rows * size.cols;
-    std::vector<Run> runs;
-    for (const Config& c : configs) {
-      runs.push_back(run_flood(
-          flood_spec(size.rows, size.cols, c.medium, c.shard_threads),
-          size.sim_time));
-    }
-    // The determinism contract, asserted before publication: same
-    // traffic and same event sequence under every backend.
-    const Run& reference = runs.front();
-    for (const Run& run : runs) {
-      HYDRA_ASSERT_MSG(run.transmissions == reference.transmissions &&
-                           run.deliveries == reference.deliveries &&
-                           run.events == reference.events,
-                       "delivery backends diverged on a flooded grid");
-    }
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const Run& run = runs[i];
-      char label[64];
-      std::snprintf(label, sizeof label, "N=%zu/%s", nodes, configs[i].label);
-      table.add_row(
-          {label, std::to_string(nodes), std::to_string(run.transmissions),
-           std::to_string(run.deliveries),
-           stats::Table::num(static_cast<double>(run.deliveries) /
-                                 static_cast<double>(run.transmissions),
-                             1),
-           std::to_string(run.events),
-           stats::Table::num(static_cast<double>(run.deliveries) /
-                                 run.run_wall / 1e6,
-                             2),
-           stats::Table::num(run.run_wall, 3),
-           stats::Table::num(run.build_wall, 3)});
-    }
+    const Run run = run_flood(flood_spec(size.rows, size.cols), size.sim_time);
+    // The "/culled/serial" suffix stays: the row labels key
+    // bench/baseline.json cells.
+    char label[64];
+    std::snprintf(label, sizeof label, "N=%zu/culled/serial", nodes);
+    table.add_row(
+        {label, std::to_string(nodes), std::to_string(run.transmissions),
+         std::to_string(run.deliveries),
+         stats::Table::num(static_cast<double>(run.deliveries) /
+                               static_cast<double>(run.transmissions),
+                           1),
+         std::to_string(run.events),
+         stats::Table::num(static_cast<double>(run.deliveries) /
+                               run.run_wall / 1e6,
+                           2),
+         stats::Table::num(run.run_wall, 3),
+         stats::Table::num(run.build_wall, 3)});
   }
   bench::emit(table);
   bench::comment("Mdeliv/s run wall is millions of scheduled deliveries per "
@@ -260,9 +226,7 @@ int main() {
       "pooled memory path on flooded grids, 1024 to 10000 nodes",
       "Every node floods 40 B every 250 ms on a 10 m lattice. Table 1 "
       "ablates pooled vs heap storage (identical simulations, gated "
-      "run-loop allocation counts); table 2 scales N across "
-      "medium backends.");
-  bench::record_threads(4);  // the sharded rows use 4 workers
+      "run-loop allocation counts); table 2 scales N.");
   ablation_table();
   scale_table();
   return 0;

@@ -212,7 +212,6 @@ topo::ExperimentResult run_experiment(const topo::ExperimentConfig& config) {
   result.sim_time = simulation.now().since_origin();
   result.phy_transmissions = scenario.medium().transmissions_started();
   result.phy_deliveries = scenario.medium().deliveries_scheduled();
-  result.phy_shards = scenario.medium().shards();
   result.phy_rebuilds = scenario.medium().rebuilds();
   result.phy_incremental_attaches = scenario.medium().incremental_attaches();
   result.phy_detaches = scenario.medium().detaches();

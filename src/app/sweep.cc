@@ -57,7 +57,7 @@ class Fingerprinter {
 // containers); elsewhere the fingerprints still work, they just lose
 // the compile-time reminder.
 #if defined(__GLIBCXX__) && defined(__x86_64__) && !defined(_GLIBCXX_DEBUG)
-static_assert(sizeof(topo::ScenarioSpec) == 368,
+static_assert(sizeof(topo::ScenarioSpec) == 344,
               "ScenarioSpec changed: update spec_fingerprint");
 static_assert(sizeof(topo::MobilitySpec) == 96,
               "MobilitySpec changed: update spec_fingerprint");
@@ -65,7 +65,7 @@ static_assert(sizeof(topo::NodeParams) == 128,
               "NodeParams changed: update spec_fingerprint");
 static_assert(sizeof(core::AggregationPolicy) == 48,
               "AggregationPolicy changed: update spec_fingerprint");
-static_assert(sizeof(topo::ExperimentConfig) == 576,
+static_assert(sizeof(topo::ExperimentConfig) == 552,
               "ExperimentConfig changed: update workload_fingerprint");
 static_assert(sizeof(transport::TcpConfig) == 96,
               "TcpConfig changed: update workload_fingerprint");
@@ -74,7 +74,7 @@ static_assert(sizeof(transport::TransportTuning) == 48,
 // The disk-cache serializer hand-enumerates every field of these four;
 // a field added without extending serialize/deserialize_result would
 // silently persist partial results.
-static_assert(sizeof(topo::ExperimentResult) == 256,
+static_assert(sizeof(topo::ExperimentResult) == 248,
               "ExperimentResult changed: update serialize_result");
 static_assert(sizeof(topo::FlowResult) == 32,
               "FlowResult changed: update serialize_result");
@@ -89,21 +89,16 @@ static_assert(sizeof(mac::TimeAccounting) == 48,
 // size (and a policy axis label is whatever the caller typed), so two
 // same-label grid entries differing in spacing, sessions, policy knobs
 // or placement would otherwise alias in the cache. The fingerprint runs
-// over the point's *resolved* spec — after the axes overwrite policy,
-// scheme and medium — so axis values are covered regardless of their
-// labels.
+// over the point's *resolved* spec — after the axes overwrite policy
+// and scheme — so axis values are covered regardless of their labels.
 std::string spec_fingerprint(const topo::ScenarioSpec& spec) {
   Fingerprinter fp;
   fp.add("f%d n%zu k%zu r%zux%zu sp%.17g rng%.17g ps%llu ",
          static_cast<int>(spec.family), spec.nodes, spec.senders, spec.rows,
          spec.cols, spec.spacing_m, spec.range_m,
          static_cast<unsigned long long>(spec.placement_seed));
-  // shard_threads rides along even though the determinism contract
-  // makes it outcome-neutral: a fingerprint that hand-waves "this field
-  // can't matter" is how aliasing bugs start.
-  fp.add("w%d sr%d rd%d cm%.17g sh%zu ", spec.neighbor_whitelist,
-         spec.static_routes, spec.route_discovery,
-         spec.medium.cull_margin_db, spec.medium.shard_threads);
+  fp.add("w%d sr%d rd%d ", spec.neighbor_whitelist, spec.static_routes,
+         spec.route_discovery);
   // Mobility changes the outcome through node motion and churn; every
   // knob (including the explicit mobile list) feeds the key.
   const auto& mob = spec.mobility;
@@ -197,11 +192,11 @@ std::filesystem::path disk_path_for(const std::string& dir,
 std::string serialize_result(const topo::ExperimentResult& result) {
   std::ostringstream out;
   out << std::setprecision(17);
-  out << "hydra-sweep-result 3\n";
+  out << "hydra-sweep-result 4\n";
   out << "sim_time " << result.sim_time.ns() << "\n";
   out << "counters " << result.phy_transmissions << ' '
-      << result.phy_deliveries << ' ' << result.phy_shards << ' '
-      << result.phy_rebuilds << ' ' << result.phy_incremental_attaches << ' '
+      << result.phy_deliveries << ' ' << result.phy_rebuilds << ' '
+      << result.phy_incremental_attaches << ' '
       << result.phy_detaches << ' ' << result.phy_moves << ' '
       << result.phy_incremental_detaches << ' '
       << result.phy_incremental_moves << ' ' << result.sched_executed_events
@@ -243,9 +238,10 @@ bool deserialize_result(const std::string& text,
   std::string tag;
   int version = 0;
   // Older versions (v1 predates the transport counters, v2 still carries
-  // the parallel-scheduler counters) fail the parse and degrade to a
-  // cache miss: re-simulated, then re-stored as v3.
-  if (!(in >> tag >> version) || tag != "hydra-sweep-result" || version != 3) {
+  // the parallel-scheduler counters, v3 the medium shard count) fail the
+  // parse and degrade to a cache miss: re-simulated, then re-stored as
+  // v4.
+  if (!(in >> tag >> version) || tag != "hydra-sweep-result" || version != 4) {
     return false;
   }
   topo::ExperimentResult r;
@@ -253,7 +249,7 @@ bool deserialize_result(const std::string& text,
   if (!(in >> tag >> ns) || tag != "sim_time") return false;
   r.sim_time = sim::Duration::nanos(ns);
   if (!(in >> tag >> r.phy_transmissions >> r.phy_deliveries >>
-        r.phy_shards >> r.phy_rebuilds >> r.phy_incremental_attaches >>
+        r.phy_rebuilds >> r.phy_incremental_attaches >>
         r.phy_detaches >> r.phy_moves >> r.phy_incremental_detaches >>
         r.phy_incremental_moves >> r.sched_executed_events >>
         r.heap_allocations >>
@@ -308,41 +304,31 @@ bool deserialize_result(const std::string& text,
 std::vector<SweepPoint> expand_sweep(const SweepGrid& grid) {
   std::vector<SweepPoint> points;
   points.reserve(grid.scenarios.size() * grid.policies.size() *
-                 grid.rate_adaptations.size() * grid.mediums.size() *
-                 grid.transports.size());
+                 grid.rate_adaptations.size() * grid.transports.size());
   for (const auto& [scenario_label, spec] : grid.scenarios) {
     for (const auto& [policy_label, policy] : grid.policies) {
       for (const auto scheme : grid.rate_adaptations) {
-        for (const auto& [medium_label, medium_policy] : grid.mediums) {
-          for (const auto& [transport_label, tuning] : grid.transports) {
-            SweepPoint point;
-            point.scenario_label =
-                scenario_label.empty() ? spec.label() : scenario_label;
-            point.policy_label = policy_label;
-            point.rate_adaptation = scheme;
-            point.medium_label = medium_label;
-            point.config = grid.base;
-            point.config.scenario = spec;
-            point.config.scenario.node.policy = policy;
-            point.config.scenario.node.rate_adaptation = scheme;
-            // kAuto axis entries defer to the spec's own tuning (a spec
-            // that pinned full mesh stays pinned under the default axis);
-            // a concrete axis policy overrides.
-            if (medium_policy != topo::MediumPolicy::kAuto) {
-              point.config.scenario.medium.policy = medium_policy;
-            }
-            // Same deferral for the transport axis: nullopt keeps the
-            // base config's tuning (and the historical "" label).
-            if (tuning.has_value()) {
-              point.config.tcp.tuning = *tuning;
-              point.transport_label = transport_label.empty()
-                                          ? transport::to_string(*tuning)
-                                          : transport_label;
-            } else {
-              point.transport_label = transport_label;
-            }
-            points.push_back(std::move(point));
+        for (const auto& [transport_label, tuning] : grid.transports) {
+          SweepPoint point;
+          point.scenario_label =
+              scenario_label.empty() ? spec.label() : scenario_label;
+          point.policy_label = policy_label;
+          point.rate_adaptation = scheme;
+          point.config = grid.base;
+          point.config.scenario = spec;
+          point.config.scenario.node.policy = policy;
+          point.config.scenario.node.rate_adaptation = scheme;
+          // nullopt keeps the base config's tuning (and the historical ""
+          // label); a concrete tuning overrides.
+          if (tuning.has_value()) {
+            point.config.tcp.tuning = *tuning;
+            point.transport_label = transport_label.empty()
+                                        ? transport::to_string(*tuning)
+                                        : transport_label;
+          } else {
+            point.transport_label = transport_label;
           }
+          points.push_back(std::move(point));
         }
       }
     }
@@ -352,16 +338,10 @@ std::vector<SweepPoint> expand_sweep(const SweepGrid& grid) {
 
 std::string SweepCache::key_of(const SweepPoint& point) {
   // The rate-adaptation scheme is already serialized inside the spec
-  // fingerprint (expand_sweep resolves the axis into the spec). The
-  // medium rides here as the *resolved* delivery policy, so a point
-  // swept under kAuto and the same point swept under an explicit axis
-  // entry that resolves identically share one cache slot (the node
-  // count kAuto resolves through is already in the spec fingerprint).
-  char tail[64];
-  std::snprintf(
-      tail, sizeof tail, "|%s|seed%llu",
-      phy::to_string(point.config.scenario.medium_config().delivery),
-      static_cast<unsigned long long>(point.config.seed));
+  // fingerprint (expand_sweep resolves the axis into the spec).
+  char tail[32];
+  std::snprintf(tail, sizeof tail, "|seed%llu",
+                static_cast<unsigned long long>(point.config.seed));
   return point.scenario_label + '|' + point.policy_label + '|' +
          spec_fingerprint(point.config.scenario) + '|' +
          workload_fingerprint(point.config) + tail;

@@ -1,6 +1,6 @@
 // Parameter-sweep driver: the cartesian product of scenario specs,
-// aggregation policies, rate-adaptation schemes and medium delivery
-// policies, each point run through app::run_experiment. Every simulation
+// aggregation policies, rate-adaptation schemes and transport schemes,
+// each point run through app::run_experiment. Every simulation
 // is self-contained (its own Simulation, Medium and RNG; no mutable
 // globals as long as sim::Log stays quiet), so points execute in
 // parallel across a thread pool and results come back in deterministic
@@ -30,11 +30,8 @@ struct SweepPoint {
   std::string scenario_label;
   std::string policy_label;
   mac::RateAdaptationScheme rate_adaptation = mac::RateAdaptationScheme::kNone;
-  // Label of the medium-policy axis entry ("" for the default axis, so
-  // single-policy sweeps keep their historical labels).
-  std::string medium_label;
-  // Label of the transport-scheme axis entry (same convention; "" for
-  // the default axis, whose points run the base config's tuning).
+  // Label of the transport-scheme axis entry ("" for the default axis,
+  // whose points run the base config's tuning).
   std::string transport_label;
   topo::ExperimentConfig config;
 };
@@ -50,25 +47,19 @@ struct SweepOutcome {
 
 // The sweep axes. `base` supplies the workload (traffic kind, file
 // sizes, seed, time cap); each point overwrites base.scenario with the
-// axis spec, then the spec's policy, rate adaptation and medium policy
-// with the other axes.
+// axis spec, then the spec's policy and rate adaptation and the
+// transport tuning with the other axes.
 struct SweepGrid {
   std::vector<std::pair<std::string, topo::ScenarioSpec>> scenarios;
   std::vector<std::pair<std::string, core::AggregationPolicy>> policies = {
       {"ba", core::AggregationPolicy::ba()}};
   std::vector<mac::RateAdaptationScheme> rate_adaptations = {
       mac::RateAdaptationScheme::kNone};
-  // Medium delivery axis. kAuto entries never overwrite the spec: the
-  // default single-entry axis leaves each spec's own MediumTuning in
-  // charge (a pinned policy stays pinned); kFullMesh/kCulled entries
-  // force that policy onto every spec of the grid.
-  std::vector<std::pair<std::string, topo::MediumPolicy>> mediums = {
-      {"", topo::MediumPolicy::kAuto}};
   // Transport-scheme axis (congestion control × ACK policy), innermost.
-  // The same deferral convention as mediums: a nullopt entry
-  // leaves base.tcp.tuning in charge; a concrete TransportTuning
-  // overwrites it on every point. Empty labels resolve to the tuning's
-  // own to_string ("newreno+ack-imm") so ablation tables stay readable.
+  // A nullopt entry leaves base.tcp.tuning in charge; a concrete
+  // TransportTuning overwrites it on every point. Empty labels resolve
+  // to the tuning's own to_string ("newreno+ack-imm") so ablation tables
+  // stay readable.
   std::vector<std::pair<std::string, std::optional<transport::TransportTuning>>>
       transports = {{"", std::nullopt}};
   topo::ExperimentConfig base;
@@ -76,9 +67,9 @@ struct SweepGrid {
 
 // Memoizes experiment results across sweep invocations, keyed on
 // (scenario label, aggregation policy label, rate-adaptation scheme,
-// medium policy, seed) plus fingerprints of the resolved scenario spec
-// and the workload base config, so same-label points describing
-// different worlds or workloads never alias — one cache can safely
+// seed) plus fingerprints of the resolved scenario spec and the
+// workload base config, so same-label points describing different
+// worlds or workloads never alias — one cache can safely
 // serve every sweep in a process. Thread-safe; sweep workers consult it
 // concurrently.
 //
@@ -138,7 +129,7 @@ std::string serialize_result(const topo::ExperimentResult& result);
 bool deserialize_result(const std::string& text, topo::ExperimentResult* out);
 
 // Expands the grid scenario-major (policies, rate adaptations, then
-// medium policies innermost) without running anything.
+// transport schemes innermost) without running anything.
 std::vector<SweepPoint> expand_sweep(const SweepGrid& grid);
 
 // Runs every point of the grid, `threads` simulations at a time

@@ -3,24 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <thread>
 #include <unordered_map>
 
 #include "phy/phy.h"
 #include "util/assert.h"
 #include "util/pool.h"
-#include "util/task_pool.h"
 
 namespace hydra::phy {
-
-const char* to_string(DeliveryPolicy policy) {
-  switch (policy) {
-    case DeliveryPolicy::kFullMesh: return "full-mesh";
-    case DeliveryPolicy::kCulled: return "culled";
-    case DeliveryPolicy::kSharded: return "sharded";
-  }
-  HYDRA_UNREACHABLE("bad delivery policy");
-}
 
 double path_loss_db(const MediumConfig& config, double distance) {
   const double d = std::max(1.0, distance);
@@ -53,14 +42,6 @@ double reach_radius_m(const MediumConfig& config, double tx_power_dbm) {
                   std::pow(10.0, budget / (10.0 * config.path_loss_exponent)));
 }
 
-std::size_t resolve_shard_threads(const MediumConfig& config) {
-  if (config.shard_threads != 0) return config.shard_threads;
-  // Capped: the stripe computation saturates long before it can use a
-  // many-core host, and oversubscribing stripes shrinks each below the
-  // wake-up cost of its worker.
-  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 8);
-}
-
 namespace {
 
 Delivery make_delivery(const MediumConfig& config, Phy& src, Phy& dst) {
@@ -70,163 +51,35 @@ Delivery make_delivery(const MediumConfig& config, Phy& src, Phy& dst) {
                   propagation_delay(config, d)};
 }
 
-// Shared bookkeeping for backends that precompute one delivery list per
-// source, keyed by attach order.
-class PrecomputedBackend : public DeliveryBackend {
+// Reachability-culled delivery: one precomputed list per source, keyed
+// by attach order. Candidates come from a spatial grid whose cells span
+// the widest reach, so every possible receiver sits in the 3×3
+// neighborhood of its source's cell; receivers below the cull floor are
+// skipped.
+class CulledBackend final : public DeliveryBackend {
  public:
   const std::vector<Delivery>& deliveries(const Phy& src) const override {
     return lists_[index_.at(&src)];
   }
 
- protected:
-  // Starts a rebuild: empty per-source lists + the attach-order index.
-  void reset(const std::vector<Phy*>& phys) {
+  void rebuild(const std::vector<Phy*>& phys,
+               const MediumConfig& config) override {
     lists_.clear();
     lists_.resize(phys.size());
     index_.clear();
-    for (std::size_t s = 0; s < phys.size(); ++s) index_[phys[s]] = s;
-  }
-
-  // Registers a newly attached PHY (the next attach index) with an
-  // empty list; returns its index.
-  std::size_t register_attached(Phy& phy) {
-    const std::size_t s = lists_.size();
-    lists_.emplace_back();
-    index_[&phy] = s;
-    return s;
-  }
-
-  // Mirror of register_attached for a detach: drops `phy`'s own list,
-  // renumbers the attach indices above it down by one, and strips it
-  // from every remaining list. Relative attach order is untouched, so
-  // the surviving lists stay canonically ordered without recomputation.
-  // `phys` is the medium's attach-order vector with `phy` already
-  // erased. Returns the index `phy` held.
-  std::size_t unregister_detached(Phy& phy, const std::vector<Phy*>& phys) {
-    const auto it = index_.find(&phy);
-    HYDRA_ASSERT_MSG(it != index_.end(), "detach of an unknown phy");
-    const std::size_t s = it->second;
-    index_.erase(it);
-    lists_.erase(lists_.begin() + static_cast<std::ptrdiff_t>(s));
-    // Renumber by walking the attach-order vector, not the hash map:
-    // phys[i] for i >= s are exactly the survivors whose index shifted
-    // down by one, and a deterministic traversal keeps this path out of
-    // hydra-lint's unordered-iter rule by construction (the old
-    // map-order walk was value-equivalent but order-nondeterministic).
-    for (std::size_t i = s; i < phys.size(); ++i) index_[phys[i]] = i;
-    for (auto& list : lists_) {
-      std::erase_if(list,
-                    [&](const Delivery& d) { return d.destination == &phy; });
-    }
-    return s;
-  }
-
-  std::vector<std::vector<Delivery>> lists_;
-  // Pointer-hashed: the per-transmission src -> attach-index lookup is
-  // on the hot path this layer exists to keep O(1).
-  std::unordered_map<const Phy*, std::size_t> index_;  // hydra-lint: allow(unordered-member) — at/find/erase lookups plus the attach-order renumber walk above; never iterated in hash order
-
-};
-
-// Exact paper behaviour: every attached PHY hears every transmission.
-// Still caches the per-pair receive power and propagation delay so the
-// per-frame path does no trigonometry or log10.
-class FullMeshBackend final : public PrecomputedBackend {
- public:
-  const char* name() const override { return "full-mesh"; }
-
-  void rebuild(const std::vector<Phy*>& phys,
-               const MediumConfig& config) override {
-    reset(phys);
-    for (std::size_t s = 0; s < phys.size(); ++s) {
-      lists_[s].reserve(phys.size() - 1);
-      for (Phy* dst : phys) {
-        if (dst == phys[s]) continue;
-        lists_[s].push_back(make_delivery(config, *phys[s], *dst));
-      }
-    }
-  }
-
-  bool attach_incremental(Phy& phy, const std::vector<Phy*>& phys,
-                          const MediumConfig& config) override {
-    // The newcomer holds the highest attach index, so appending it to
-    // every existing list keeps them attach-ordered.
-    const std::size_t s = register_attached(phy);
-    auto& list = lists_[s];
-    list.reserve(phys.size() - 1);
-    for (std::size_t i = 0; i + 1 < phys.size(); ++i) {
-      list.push_back(make_delivery(config, phy, *phys[i]));
-      lists_[i].push_back(make_delivery(config, *phys[i], phy));
-    }
-    return true;
-  }
-
-  bool detach_incremental(Phy& phy, const std::vector<Phy*>& phys,
-                          const MediumConfig&) override {
-    unregister_detached(phy, phys);
-    return true;
-  }
-
-  bool move_incremental(Phy& phy, Position, const std::vector<Phy*>& phys,
-                        const MediumConfig& config) override {
-    const std::size_t s = index_.at(&phy);
-    auto& own = lists_[s];
-    own.clear();
-    for (std::size_t i = 0; i < phys.size(); ++i) {
-      if (i == s) continue;
-      own.push_back(make_delivery(config, phy, *phys[i]));
-      // A full-mesh list holds every other PHY in attach order, so the
-      // mover's reverse entry sits at a computable offset — rewrite it
-      // in place instead of searching.
-      auto& entry = lists_[i][s < i ? s : s - 1];
-      HYDRA_ASSERT(entry.destination == &phy);
-      entry = make_delivery(config, *phys[i], phy);
-    }
-    return true;
-  }
-};
-
-// Shared machinery of the culled backends: the reach-sized spatial grid
-// and the per-source candidate/rx-power/delay computation. kCulled runs
-// compute_list serially; kSharded fans the same computation out one
-// grid stripe per worker — identical per-pair arithmetic in identical
-// per-list order, which is what makes the two bit-identical.
-class CulledBackendBase : public PrecomputedBackend {
- protected:
-  // Rebuild prologue: reset + a grid whose cells span the widest reach
-  // among the attached transmitters, so every possible receiver sits in
-  // the 3×3 neighborhood of its source's cell.
-  void prepare(const std::vector<Phy*>& phys, const MediumConfig& config) {
-    reset(phys);
     std::vector<Position> positions;
     positions.reserve(phys.size());
     double reach = 1.0;
-    for (const Phy* phy : phys) {
-      positions.push_back(phy->config().position);
-      reach = std::max(reach,
-                       reach_radius_m(config, phy->config().tx_power_dbm));
+    for (std::size_t s = 0; s < phys.size(); ++s) {
+      index_[phys[s]] = s;
+      positions.push_back(phys[s]->config().position);
+      reach = std::max(
+          reach, reach_radius_m(config, phys[s]->config().tx_power_dbm));
     }
     grid_.build(positions, reach);
-  }
-
-  // Computes source s's delivery list: grid candidates, sorted to
-  // attach order (scheduling — and therefore RNG draw — order must
-  // match the full-mesh backend exactly), culled against the floor.
-  void compute_list(std::size_t s, const std::vector<Phy*>& phys,
-                    const MediumConfig& config,
-                    std::vector<std::uint32_t>& candidates) {
-    candidates.clear();
-    grid_.neighborhood(phys[s]->config().position,
-                       [&](std::uint32_t i) { candidates.push_back(i); });
-    std::sort(candidates.begin(), candidates.end());
-    // One allocation per list instead of a doubling series: the medium
-    // builds lazily at the first transmission, inside the event loop.
-    lists_[s].reserve(candidates.size());
-    const double floor = cull_floor_dbm(config);
-    for (const std::uint32_t i : candidates) {
-      if (i == s) continue;
-      const auto delivery = make_delivery(config, *phys[s], *phys[i]);
-      if (delivery.rx_power_dbm >= floor) lists_[s].push_back(delivery);
+    std::vector<std::uint32_t> candidates;
+    for (std::size_t s = 0; s < phys.size(); ++s) {
+      compute_list(s, phys, config, candidates);
     }
   }
 
@@ -240,7 +93,10 @@ class CulledBackendBase : public PrecomputedBackend {
     if (reach_radius_m(config, phy.config().tx_power_dbm) > grid_.cell_m()) {
       return false;
     }
-    const auto s = static_cast<std::uint32_t>(register_attached(phy));
+    // The newcomer takes the next attach index with an empty list.
+    const auto s = static_cast<std::uint32_t>(lists_.size());
+    lists_.emplace_back();
+    index_[&phy] = s;
     grid_.insert(p, s);
     std::vector<std::uint32_t> candidates;
     compute_list(s, phys, config, candidates);
@@ -263,8 +119,25 @@ class CulledBackendBase : public PrecomputedBackend {
     // erase_and_renumber keeps the grid aligned with the compacted
     // attach index space (the over-wide bounding box and cell width stay
     // valid — fewer nodes never need a larger reach).
-    grid_.erase_and_renumber(static_cast<std::uint32_t>(index_.at(&phy)));
-    unregister_detached(phy, phys);
+    const auto it = index_.find(&phy);
+    HYDRA_ASSERT_MSG(it != index_.end(), "detach of an unknown phy");
+    const std::size_t s = it->second;
+    grid_.erase_and_renumber(static_cast<std::uint32_t>(s));
+    // Drop phy's own list, renumber the attach indices above it down by
+    // one, and strip it from every remaining list. Relative attach order
+    // is untouched, so the surviving lists stay canonically ordered
+    // without recomputation. `phys` already has phy erased.
+    index_.erase(it);
+    lists_.erase(lists_.begin() + static_cast<std::ptrdiff_t>(s));
+    // Renumber by walking the attach-order vector, not the hash map:
+    // phys[i] for i >= s are exactly the survivors whose index shifted
+    // down by one, and a deterministic traversal keeps this path out of
+    // hydra-lint's unordered-iter rule by construction.
+    for (std::size_t i = s; i < phys.size(); ++i) index_[phys[i]] = i;
+    for (auto& list : lists_) {
+      std::erase_if(list,
+                    [&](const Delivery& d) { return d.destination == &phy; });
+    }
     return true;
   }
 
@@ -306,85 +179,39 @@ class CulledBackendBase : public PrecomputedBackend {
     return true;
   }
 
-  SpatialGrid grid_;
-};
-
-// Reachability-culled delivery: receivers below the cull floor are
-// skipped, and candidates come from the spatial index instead of an
-// O(N) scan per source.
-class CulledBackend final : public CulledBackendBase {
- public:
-  const char* name() const override { return "culled"; }
-
-  void rebuild(const std::vector<Phy*>& phys,
-               const MediumConfig& config) override {
-    prepare(phys, config);
-    std::vector<std::uint32_t> candidates;
-    for (std::size_t s = 0; s < phys.size(); ++s) {
-      compute_list(s, phys, config, candidates);
-    }
-  }
-};
-
-// The culled receiver sets, computed in parallel: grid cell columns are
-// cut into stripes (one per worker) and each worker computes the lists
-// of the sources located in its stripe. Workers write disjoint lists_
-// slots, so the only synchronization is the pool's batch barrier; the
-// canonical merge is free — lists_ is indexed by attach order and each
-// list is receiver-attach-ordered, exactly the sequence the serial
-// backend produces.
-class ShardedBackend final : public CulledBackendBase {
- public:
-  const char* name() const override { return "sharded"; }
-
-  std::size_t shards() const override { return plan_.stripes(); }
-
-  void rebuild(const std::vector<Phy*>& phys,
-               const MediumConfig& config) override {
-    prepare(phys, config);
-    const std::size_t threads = resolve_shard_threads(config);
-    if (!pool_ || pool_->concurrency() != threads) {
-      pool_ = std::make_unique<util::TaskPool>(
-          static_cast<unsigned>(threads));
-    }
-    plan_ = ShardPlan(grid_.cells_x(), threads);
-
-    // Sources grouped by the stripe owning their cell column; the plan
-    // partitions the columns exactly, so every source lands in exactly
-    // one group and no list is written twice.
-    std::vector<std::vector<std::uint32_t>> stripe_sources(plan_.stripes());
-    for (std::size_t s = 0; s < phys.size(); ++s) {
-      const int col = grid_.clamped_cell_x(phys[s]->config().position);
-      stripe_sources[plan_.stripe_of(col)].push_back(
-          static_cast<std::uint32_t>(s));
-    }
-    pool_->parallel_for(plan_.stripes(), [&](std::size_t stripe) {
-      std::vector<std::uint32_t> candidates;
-      for (const std::uint32_t s : stripe_sources[stripe]) {
-        compute_list(s, phys, config, candidates);
-      }
-    });
-  }
-
  private:
-  // Persistent across rebuilds — the thread spawn cost is paid once per
-  // backend, not per topology change.
-  std::unique_ptr<util::TaskPool> pool_;
-  ShardPlan plan_;
+  // Computes source s's delivery list: grid candidates, sorted to
+  // attach order (scheduling — and therefore RNG draw — order must
+  // match the full mesh exactly), culled against the floor.
+  void compute_list(std::size_t s, const std::vector<Phy*>& phys,
+                    const MediumConfig& config,
+                    std::vector<std::uint32_t>& candidates) {
+    candidates.clear();
+    grid_.neighborhood(phys[s]->config().position,
+                       [&](std::uint32_t i) { candidates.push_back(i); });
+    std::sort(candidates.begin(), candidates.end());
+    // One allocation per list instead of a doubling series: the medium
+    // builds lazily at the first transmission, inside the event loop.
+    lists_[s].reserve(candidates.size());
+    const double floor = cull_floor_dbm(config);
+    for (const std::uint32_t i : candidates) {
+      if (i == s) continue;
+      const auto delivery = make_delivery(config, *phys[s], *phys[i]);
+      if (delivery.rx_power_dbm >= floor) lists_[s].push_back(delivery);
+    }
+  }
+
+  std::vector<std::vector<Delivery>> lists_;
+  // Pointer-hashed: the per-transmission src -> attach-index lookup is
+  // on the hot path this layer exists to keep O(1).
+  std::unordered_map<const Phy*, std::size_t> index_;  // hydra-lint: allow(unordered-member) — at/find/erase lookups plus the attach-order renumber walk in detach_incremental; never iterated in hash order
+  SpatialGrid grid_;
 };
 
 }  // namespace
 
-std::unique_ptr<DeliveryBackend> make_delivery_backend(DeliveryPolicy policy) {
-  switch (policy) {
-    case DeliveryPolicy::kFullMesh:
-      return std::make_unique<FullMeshBackend>();
-    case DeliveryPolicy::kCulled:
-      return std::make_unique<CulledBackend>();
-    case DeliveryPolicy::kSharded:
-      return std::make_unique<ShardedBackend>();
-  }
-  HYDRA_UNREACHABLE("bad delivery policy");
+std::unique_ptr<DeliveryBackend> make_delivery_backend() {
+  return std::make_unique<CulledBackend>();
 }
 
 Medium::Medium(sim::Simulation& simulation, MediumConfig config,
@@ -394,9 +221,8 @@ Medium::Medium(sim::Simulation& simulation, MediumConfig config,
 Medium::~Medium() = default;
 
 void Medium::attach(Phy& phy) {
-  for (const auto* existing : phys_) {
-    HYDRA_ASSERT_MSG(existing != &phy, "phy attached twice");
-  }
+  // attached_ is true exactly while the PHY sits in phys_.
+  HYDRA_ASSERT_MSG(!phy.attached_, "phy attached twice");
   phys_.push_back(&phy);
   phy.attached_ = true;
   if (backend_ && !backend_dirty_ &&
@@ -463,13 +289,8 @@ const DeliveryBackend& Medium::backend() {
   return *backend_;
 }
 
-std::size_t Medium::shards() {
-  ensure_backend();
-  return backend_->shards();
-}
-
 void Medium::ensure_backend() {
-  if (!backend_) backend_ = make_delivery_backend(config_.delivery);
+  if (!backend_) backend_ = make_delivery_backend();
   if (backend_dirty_) {
     backend_->rebuild(phys_, config_);
     backend_dirty_ = false;

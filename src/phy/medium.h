@@ -4,32 +4,23 @@
 // 7.7 mW transmit power and 2.5 m node spacing give 25 dB SNR over
 // a 1 MHz channel.
 //
-// Delivery is pluggable. A transmission fans out to the receivers a
-// DeliveryBackend selects:
+// A transmission fans out to the PHYs whose receive power clears the
+// cull floor (noise floor − cull_margin_db, never above the CCA
+// threshold). Receivers below the CCA threshold are behaviourally inert
+// — they cannot assert CCA, collide, or decode — so skipping them is
+// bit-identical to delivering every frame to every attached PHY (the
+// full mesh) while cutting event traffic to O(k) reachable neighbors.
+// In the paper's worlds (at most 7.5 m across) every node clears the
+// floor, so the delivery lists *are* the full mesh. A spatial grid
+// sized to the reach radius supplies the candidates, so building the
+// lists costs O(N·k), not O(N²). The medium_determinism suite pins the
+// culled lists against a full-mesh reference backend kept with the
+// tests (`tests/support/full_mesh_backend.h`).
 //
-//   kFullMesh  every other attached PHY — exact paper parity; O(N) events
-//              per frame regardless of geometry.
-//   kCulled    only PHYs whose receive power clears the cull floor
-//              (noise floor − cull_margin_db, never above the CCA
-//              threshold). Receivers below the CCA threshold are
-//              behaviourally inert — they cannot assert CCA, collide, or
-//              decode — so culling them is bit-identical to full mesh
-//              while cutting event traffic to O(k) reachable neighbors.
-//   kSharded   the culled receiver set, computed in parallel: the
-//              spatial grid's cell columns are cut into stripes
-//              (ShardPlan) and a persistent util::TaskPool computes the
-//              per-source candidate/rx-power/delay lists one stripe per
-//              worker. The lists commit in canonical order — indexed by
-//              attach order, each sorted by receiver attach index — so
-//              the scheduler sees exactly the event sequence the serial
-//              kCulled backend would have produced. Bit-identical trace
-//              digests are the contract, pinned by the
-//              shard_determinism suite (`ctest -L shard`).
-//
-// Every backend precomputes its per-source delivery lists (receive power
-// and propagation delay per pair) once per topology, so the per-frame
-// hot path does no log10 at all, and a whole transmission's fan-out
-// commits through one Scheduler::schedule_batch. Positions are no longer
+// The per-source delivery lists (receive power and propagation delay
+// per pair) are precomputed once per topology, so the per-frame hot
+// path does no log10 at all, and a whole transmission's fan-out
+// commits through one Scheduler::schedule_batch. Positions are not
 // frozen at build time: attach(), detach() and move_node() patch the
 // lists incrementally for the touched node alone whenever the backend
 // can prove the update local (inside the grid's bounding box, reach
@@ -56,10 +47,6 @@ namespace hydra::phy {
 
 class Phy;
 
-enum class DeliveryPolicy { kFullMesh, kCulled, kSharded };
-
-const char* to_string(DeliveryPolicy policy);
-
 struct MediumConfig {
   double path_loss_at_1m_db = 73.0;
   double path_loss_exponent = 3.0;
@@ -71,17 +58,11 @@ struct MediumConfig {
   double cca_threshold_dbm = -95.0;
   double propagation_speed_mps = 3.0e8;
 
-  // Which receivers a transmission is delivered to.
-  DeliveryPolicy delivery = DeliveryPolicy::kFullMesh;
-  // kCulled/kSharded drop receivers more than this margin below the
-  // noise floor. The effective floor is additionally clamped to the CCA
-  // threshold (see cull_floor_dbm), which is what guarantees culled
+  // Receivers more than this margin below the noise floor are not
+  // delivered to. The effective floor is additionally clamped to the
+  // CCA threshold (see cull_floor_dbm), which is what guarantees culled
   // delivery stays bit-identical to full mesh.
   double cull_margin_db = 10.0;
-  // kSharded: worker count (== stripe count, further capped by the
-  // grid's column count). 0 resolves to the hardware concurrency,
-  // capped at 8 — see resolve_shard_threads.
-  std::size_t shard_threads = 0;
 };
 
 // Path loss over `distance` under `config`'s log-distance model; the
@@ -92,7 +73,7 @@ double path_loss_db(const MediumConfig& config, double distance);
 // and clamped to the same 1 m floor as the path-loss model.
 sim::Duration propagation_delay(const MediumConfig& config, double distance);
 
-// The receive-power floor below which kCulled skips delivery: noise
+// The receive-power floor below which the medium skips delivery: noise
 // floor − cull margin, but never above the CCA threshold.
 double cull_floor_dbm(const MediumConfig& config);
 
@@ -101,10 +82,6 @@ double cull_floor_dbm(const MediumConfig& config);
 // branches — a cull floor barely under the tx power must not yield a
 // sub-metre reach).
 double reach_radius_m(const MediumConfig& config, double tx_power_dbm);
-
-// The worker count the sharded backend runs with: the configured
-// shard_threads, or (when 0) the hardware concurrency capped at 8.
-std::size_t resolve_shard_threads(const MediumConfig& config);
 
 // One in-flight transmission, shared by every receiver's bookkeeping.
 struct Transmission {
@@ -122,18 +99,17 @@ struct Delivery {
   sim::Duration propagation;
 };
 
-// The seam between the medium and its receiver-selection strategy.
-// Implementations precompute per-source delivery lists in rebuild();
-// the medium calls deliveries() once per transmission. Lists must be
-// ordered by attach index — scheduling order at equal timestamps decides
-// RNG draw order, so every backend has to agree on it. That canonical
-// order is the determinism contract every parallel backend must commit
-// its results through.
+// The seam between the medium and its delivery lists. The medium's own
+// backend is the culled one (make_delivery_backend); the seam exists so
+// tests can install a reference (the full mesh) through
+// Medium::set_backend and compare. Implementations precompute
+// per-source delivery lists in rebuild(); the medium calls deliveries()
+// once per transmission. Lists must be ordered by attach index —
+// scheduling order at equal timestamps decides RNG draw order, so every
+// backend has to agree on it.
 class DeliveryBackend {
  public:
   virtual ~DeliveryBackend() = default;
-
-  virtual const char* name() const = 0;
 
   // Recomputes the delivery lists from the attached PHY set at their
   // current positions (called lazily after a membership or position
@@ -184,13 +160,10 @@ class DeliveryBackend {
 
   // The receivers a transmission from `src` fans out to.
   virtual const std::vector<Delivery>& deliveries(const Phy& src) const = 0;
-
-  // How many stripes rebuild() fans out across (1 for serial backends).
-  virtual std::size_t shards() const { return 1; }
 };
 
-// Creates the backend implementing `policy`.
-std::unique_ptr<DeliveryBackend> make_delivery_backend(DeliveryPolicy policy);
+// Creates the reach-culled backend every Medium starts with.
+std::unique_ptr<DeliveryBackend> make_delivery_backend();
 
 class Medium {
  public:
@@ -231,8 +204,8 @@ class Medium {
   const ErrorModel& error_model() const { return error_model_; }
   sim::Simulation& simulation() { return sim_; }
 
-  // Replaces the delivery backend (tests, future sharded backends). The
-  // default is the backend for config().delivery.
+  // Replaces the delivery backend (tests install the full-mesh
+  // reference through it). The default is make_delivery_backend().
   void set_backend(std::unique_ptr<DeliveryBackend> backend);
   const DeliveryBackend& backend();
 
@@ -249,16 +222,13 @@ class Medium {
 
   // Delivery-list accounting: full rebuilds performed; attaches, detaches
   // and moves the backend absorbed incrementally instead of rebuilding;
-  // total detach()/move_node() calls on attached PHYs; and the stripe
-  // count the current backend fans rebuilds across (1 for the serial
-  // backends).
+  // and total detach()/move_node() calls on attached PHYs.
   std::uint64_t rebuilds() const { return rebuilds_; }
   std::uint64_t incremental_attaches() const { return incremental_attaches_; }
   std::uint64_t detaches() const { return detaches_; }
   std::uint64_t moves() const { return moves_; }
   std::uint64_t incremental_detaches() const { return incremental_detaches_; }
   std::uint64_t incremental_moves() const { return incremental_moves_; }
-  std::size_t shards();
 
   // The attached PHYs in attach order — the canonical index space the
   // delivery lists use (tests compare incremental lists against a
@@ -281,9 +251,6 @@ class Medium {
   MediumConfig config_;
   ErrorModel error_model_;
   std::vector<Phy*> phys_;
-  // The sharded backend's rebuild writes disjoint per-source lists from
-  // pool workers — a partitioning discipline no mutex annotation can
-  // express; the TSan CI slice covers it.
   std::unique_ptr<DeliveryBackend> backend_;
   bool backend_dirty_ = true;
   std::uint64_t next_tx_id_ = 1;

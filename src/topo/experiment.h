@@ -86,18 +86,15 @@ struct ExperimentResult {
 
   // Medium accounting: frames put on the air and receiver deliveries the
   // medium scheduled for them. deliveries ÷ transmissions is the
-  // per-frame fan-out — N−1 under full mesh, the in-reach neighbor count
-  // under culled delivery (what bench_ext_medium_scale charts).
+  // per-frame fan-out — N−1 when everyone is in reach, the in-reach
+  // neighbor count otherwise (what bench_ext_medium_scale charts).
   std::uint64_t phy_transmissions = 0;
   std::uint64_t phy_deliveries = 0;
 
-  // Sharded-medium accounting: stripes the delivery backend fanned its
-  // list computation across (1 for the serial backends), full
-  // delivery-list rebuilds, and attaches absorbed incrementally without
-  // one (a built scenario attaches every node before the first
-  // transmission, so rebuilds is 1 and incremental attaches N−1 once
-  // the backend's fast path applies).
-  std::uint64_t phy_shards = 1;
+  // Delivery-list accounting: full rebuilds, and attaches absorbed
+  // incrementally without one. The lists are built lazily at the first
+  // transmission, after every node of a built scenario has attached, so
+  // a static scenario reports one rebuild and no incremental attaches.
   std::uint64_t phy_rebuilds = 0;
   std::uint64_t phy_incremental_attaches = 0;
 

@@ -24,8 +24,8 @@
 // separate from the simulation RNG, and visits mobile nodes in fixed
 // order — so the motion schedule is a pure function of the spec, never of
 // the delivery backend. The mobility determinism suite pins that per-seed
-// trace digests stay bit-identical across full-mesh/culled/sharded under
-// every model.
+// trace digests stay bit-identical between the culled medium and a
+// full-mesh reference under every model.
 #pragma once
 
 #include <cstdint>

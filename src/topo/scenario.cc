@@ -41,16 +41,6 @@ std::string to_string(Family family) {
   HYDRA_UNREACHABLE("bad scenario family");
 }
 
-std::string to_string(MediumPolicy policy) {
-  switch (policy) {
-    case MediumPolicy::kAuto: return "auto";
-    case MediumPolicy::kFullMesh: return "full-mesh";
-    case MediumPolicy::kCulled: return "culled";
-    case MediumPolicy::kSharded: return "sharded";
-  }
-  HYDRA_UNREACHABLE("bad medium policy");
-}
-
 double WorldBounds::diagonal_m() const {
   return std::sqrt(width_m() * width_m() + height_m() * height_m());
 }
@@ -391,28 +381,7 @@ std::vector<std::uint32_t> ScenarioSpec::relay_indices(
   return relays;
 }
 
-phy::MediumConfig ScenarioSpec::medium_config() const {
-  phy::MediumConfig mc;
-  mc.cull_margin_db = medium.cull_margin_db;
-  mc.shard_threads = medium.shard_threads;
-  switch (medium.policy) {
-    case MediumPolicy::kAuto:
-      mc.delivery = node_count() >= kCullAutoThreshold
-                        ? phy::DeliveryPolicy::kCulled
-                        : phy::DeliveryPolicy::kFullMesh;
-      break;
-    case MediumPolicy::kFullMesh:
-      mc.delivery = phy::DeliveryPolicy::kFullMesh;
-      break;
-    case MediumPolicy::kCulled:
-      mc.delivery = phy::DeliveryPolicy::kCulled;
-      break;
-    case MediumPolicy::kSharded:
-      mc.delivery = phy::DeliveryPolicy::kSharded;
-      break;
-  }
-  return mc;
-}
+phy::MediumConfig ScenarioSpec::medium_config() const { return {}; }
 
 WorldBounds ScenarioSpec::world_bounds() const {
   const auto pos = positions();

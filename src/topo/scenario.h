@@ -38,34 +38,6 @@ enum class Family { kChain, kStar, kGrid, kRing, kRandom };
 
 std::string to_string(Family family);
 
-// How the scenario's medium selects receivers per transmission. kAuto
-// keeps exact-paper full mesh for small topologies and switches to
-// reachability culling (bit-identical, O(k) fan-out; see phy/medium.h)
-// at kCullAutoThreshold nodes — the point where O(N²) event traffic
-// starts to dominate grid/random scenarios. kSharded computes the same
-// culled delivery lists across a worker pool (bit-identical by the
-// pinned determinism contract) and stays opt-in: the worker count is a
-// host property, and kAuto keeps "same spec, same backend" true across
-// machines.
-enum class MediumPolicy { kAuto, kFullMesh, kCulled, kSharded };
-
-inline constexpr std::size_t kCullAutoThreshold = 32;
-
-std::string to_string(MediumPolicy policy);
-
-// The scenario-level medium knobs; ScenarioSpec::medium_config resolves
-// them (plus the topology's size) into a phy::MediumConfig.
-struct MediumTuning {
-  MediumPolicy policy = MediumPolicy::kAuto;
-  // Passed through to phy::MediumConfig::cull_margin_db.
-  double cull_margin_db = 10.0;
-  // kSharded: worker/stripe count; 0 resolves to the host's hardware
-  // concurrency (capped at 8) at rebuild time — see
-  // phy::resolve_shard_threads. The spatial grid caps the stripe count
-  // further at its column count, so narrow worlds degrade gracefully.
-  std::size_t shard_threads = 0;
-};
-
 // Axis-aligned bounding box of a scenario's node placement.
 struct WorldBounds {
   phy::Position min;
@@ -123,9 +95,6 @@ struct ScenarioSpec {
   double range_m = 3.5;
 
   NodeParams node;
-
-  // Medium delivery policy and cull tuning (see MediumTuning).
-  MediumTuning medium;
 
   // Motion/churn while traffic runs (see topo/mobility.h); kNone keeps
   // the topology static. The driver starts with the scenario and ticks
@@ -190,8 +159,7 @@ struct ScenarioSpec {
   std::vector<std::uint32_t> relay_indices(
       const std::vector<std::vector<std::uint32_t>>& next_hops) const;
 
-  // The medium configuration this spec resolves to: kAuto picks culled
-  // delivery at kCullAutoThreshold nodes and full mesh below it.
+  // The medium configuration this spec's scenarios are built with.
   phy::MediumConfig medium_config() const;
   // Bounding box of the node placement (positions_override included).
   WorldBounds world_bounds() const;

@@ -1,6 +1,7 @@
-// The pluggable medium: reachability-culled delivery must be
-// bit-identical to full mesh (the acceptance bar for making it the
-// default on large scenarios), the spatial index must find every
+// The medium: reachability-culled delivery must be bit-identical to the
+// full mesh (pinned against the reference backend in
+// tests/support/full_mesh_backend.h; in the paper's worlds the lists
+// themselves are the full mesh), the spatial index must find every
 // in-reach receiver across cell boundaries, and the propagation-delay
 // fix (round to nearest, 1 m clamp) is pinned here.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "phy/spatial_index.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
+#include "support/full_mesh_backend.h"
 #include "topo/scenario.h"
 
 namespace hydra {
@@ -89,7 +91,7 @@ TEST(MediumMath, CullFloorNeverRisesAboveCcaThreshold) {
 }
 
 // ---------------------------------------------------------------------
-// Delivery backends at the PHY level
+// Delivery at the PHY level
 // ---------------------------------------------------------------------
 
 phy::PhyFrame test_frame() {
@@ -100,15 +102,9 @@ phy::PhyFrame test_frame() {
   return f;
 }
 
-TEST(MediumDelivery, DefaultPolicyIsFullMesh) {
-  EXPECT_EQ(phy::MediumConfig{}.delivery, phy::DeliveryPolicy::kFullMesh);
-}
-
 TEST(MediumDelivery, CulledSkipsOutOfReachReceivers) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {30, 0}}, 1);   // inside ~36.5 m reach
   phy::Phy c(s, medium, {.position = {40, 0}}, 2);   // outside
@@ -121,7 +117,8 @@ TEST(MediumDelivery, CulledSkipsOutOfReachReceivers) {
 
 TEST(MediumDelivery, FullMeshDeliversEverywhereRegardlessOfReach) {
   sim::Simulation s(1);
-  phy::Medium medium(s);  // default kFullMesh
+  phy::Medium medium(s);
+  medium.set_backend(std::make_unique<testsupport::FullMeshBackend>());
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {30, 0}}, 1);
   phy::Phy c(s, medium, {.position = {4000, 0}}, 2);  // tens of dB under noise
@@ -136,9 +133,7 @@ TEST(MediumDelivery, SpatialIndexFindsReceiversAcrossCellBoundaries) {
   // Cells are one reach radius (~36.5 m) wide; 0 / 35 / 70 m puts the
   // outer pair in different cells with the middle node in reach of both.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy left(s, medium, {.position = {0, 0}}, 0);
   phy::Phy mid(s, medium, {.position = {35, 0}}, 1);
   phy::Phy right(s, medium, {.position = {70, 0}}, 2);
@@ -156,9 +151,7 @@ TEST(MediumDelivery, SpatialIndexFindsReceiversAcrossCellBoundaries) {
 
 TEST(MediumDelivery, LateAttachRebuildsTheDeliveryLists) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -172,20 +165,11 @@ TEST(MediumDelivery, LateAttachRebuildsTheDeliveryLists) {
   EXPECT_EQ(b.rx_starts(), 2u);
 }
 
-TEST(MediumDelivery, ShardedSkipsOutOfReachReceiversLikeCulled) {
+TEST(MediumDeathTest, DoubleAttachAborts) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kSharded;
-  config.shard_threads = 4;
-  phy::Medium medium(s, config);
-  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-  phy::Phy b(s, medium, {.position = {30, 0}}, 1);   // inside ~36.5 m reach
-  phy::Phy c(s, medium, {.position = {40, 0}}, 2);   // outside
-  a.transmit(test_frame());
-  s.run();
-  EXPECT_EQ(b.rx_starts(), 1u);
-  EXPECT_EQ(c.rx_starts(), 0u);
-  EXPECT_EQ(medium.deliveries_scheduled(), 1u);
+  phy::Medium medium(s);
+  phy::Phy a(s, medium, {.position = {0, 0}}, 0);  // attaches itself
+  EXPECT_DEATH(medium.attach(a), "phy attached twice");
 }
 
 // ---------------------------------------------------------------------
@@ -193,74 +177,60 @@ TEST(MediumDelivery, ShardedSkipsOutOfReachReceiversLikeCulled) {
 // ---------------------------------------------------------------------
 
 TEST(MediumIncrementalAttach, LateAttachSkipsTheFullRebuild) {
-  // Two scenarios for each policy: one attaches the third node after
-  // the lists were built (the incremental path), one attaches everyone
-  // up front. After the late attach, both must deliver identically —
-  // and the incremental medium must have rebuilt exactly once.
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
-    phy::MediumConfig config;
-    config.delivery = policy;
+  // Two scenarios: one attaches the third node after the lists were
+  // built (the incremental path), one attaches everyone up front. After
+  // the late attach, both must deliver identically — and the incremental
+  // medium must have rebuilt exactly once.
+  sim::Simulation s1(1);
+  phy::Medium incremental(s1);
+  phy::Phy a1(s1, incremental, {.position = {0, 0}}, 0);
+  phy::Phy b1(s1, incremental, {.position = {10, 0}}, 1);
+  a1.transmit(test_frame());
+  s1.run();
+  EXPECT_EQ(incremental.rebuilds(), 1u);
+  phy::Phy late(s1, incremental, {.position = {5, 0}}, 2);
+  const auto inc_pre_deliveries = incremental.deliveries_scheduled();
+  const auto a1_pre = a1.rx_starts();
+  const auto b1_pre = b1.rx_starts();
+  a1.transmit(test_frame());
+  b1.transmit(test_frame());
+  s1.run();
 
-    sim::Simulation s1(1);
-    phy::Medium incremental(s1, config);
-    phy::Phy a1(s1, incremental, {.position = {0, 0}}, 0);
-    phy::Phy b1(s1, incremental, {.position = {10, 0}}, 1);
-    a1.transmit(test_frame());
-    s1.run();
-    EXPECT_EQ(incremental.rebuilds(), 1u) << phy::to_string(policy);
-    phy::Phy late(s1, incremental, {.position = {5, 0}}, 2);
-    const auto inc_pre_deliveries = incremental.deliveries_scheduled();
-    const auto a1_pre = a1.rx_starts();
-    const auto b1_pre = b1.rx_starts();
-    a1.transmit(test_frame());
-    b1.transmit(test_frame());
-    s1.run();
+  sim::Simulation s2(1);
+  phy::Medium scratch(s2);
+  phy::Phy a2(s2, scratch, {.position = {0, 0}}, 0);
+  phy::Phy b2(s2, scratch, {.position = {10, 0}}, 1);
+  phy::Phy c2(s2, scratch, {.position = {5, 0}}, 2);
+  a2.transmit(test_frame());
+  s2.run();
+  const auto scr_pre_deliveries = scratch.deliveries_scheduled();
+  const auto a2_pre = a2.rx_starts();
+  const auto b2_pre = b2.rx_starts();
+  const auto c2_pre = c2.rx_starts();
+  a2.transmit(test_frame());
+  b2.transmit(test_frame());
+  s2.run();
 
-    sim::Simulation s2(1);
-    phy::Medium scratch(s2, config);
-    phy::Phy a2(s2, scratch, {.position = {0, 0}}, 0);
-    phy::Phy b2(s2, scratch, {.position = {10, 0}}, 1);
-    phy::Phy c2(s2, scratch, {.position = {5, 0}}, 2);
-    a2.transmit(test_frame());
-    s2.run();
-    const auto scr_pre_deliveries = scratch.deliveries_scheduled();
-    const auto a2_pre = a2.rx_starts();
-    const auto b2_pre = b2.rx_starts();
-    const auto c2_pre = c2.rx_starts();
-    a2.transmit(test_frame());
-    b2.transmit(test_frame());
-    s2.run();
-
-    // The attach was absorbed without a second rebuild...
-    EXPECT_EQ(incremental.rebuilds(), 1u) << phy::to_string(policy);
-    EXPECT_EQ(incremental.incremental_attaches(), 1u)
-        << phy::to_string(policy);
-    // ...and the post-attach transmissions deliver exactly like a
-    // from-scratch build, in both directions (the scratch scenario's
-    // pre-attach phase differs — the third node already exists — so the
-    // comparison is over the second phase alone).
-    EXPECT_EQ(late.rx_starts(), c2.rx_starts() - c2_pre)
-        << phy::to_string(policy);
-    EXPECT_EQ(a1.rx_starts() - a1_pre, a2.rx_starts() - a2_pre)
-        << phy::to_string(policy);
-    EXPECT_EQ(b1.rx_starts() - b1_pre, b2.rx_starts() - b2_pre)
-        << phy::to_string(policy);
-    EXPECT_EQ(incremental.deliveries_scheduled() - inc_pre_deliveries,
-              scratch.deliveries_scheduled() - scr_pre_deliveries)
-        << phy::to_string(policy);
-  }
+  // The attach was absorbed without a second rebuild...
+  EXPECT_EQ(incremental.rebuilds(), 1u);
+  EXPECT_EQ(incremental.incremental_attaches(), 1u);
+  // ...and the post-attach transmissions deliver exactly like a
+  // from-scratch build, in both directions (the scratch scenario's
+  // pre-attach phase differs — the third node already exists — so the
+  // comparison is over the second phase alone).
+  EXPECT_EQ(late.rx_starts(), c2.rx_starts() - c2_pre);
+  EXPECT_EQ(a1.rx_starts() - a1_pre, a2.rx_starts() - a2_pre);
+  EXPECT_EQ(b1.rx_starts() - b1_pre, b2.rx_starts() - b2_pre);
+  EXPECT_EQ(incremental.deliveries_scheduled() - inc_pre_deliveries,
+            scratch.deliveries_scheduled() - scr_pre_deliveries);
 }
 
 TEST(MediumIncrementalAttach, OutOfBoundsAttachFallsBackToRebuild) {
   // A newcomer outside the built grid's bounding box cannot be patched
-  // in locally (its cell does not exist); the culled backends must
-  // detect that and rebuild — and delivery must still be exact.
+  // in locally (its cell does not exist); the medium must detect that
+  // and rebuild — and delivery must still be exact.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -280,48 +250,39 @@ TEST(MediumIncrementalAttach, OutOfBoundsAttachFallsBackToRebuild) {
 // ---------------------------------------------------------------------
 
 TEST(MediumDetach, DetachRemovesBothDirectionsWithoutRebuilding) {
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
-    phy::MediumConfig config;
-    config.delivery = policy;
-    sim::Simulation s(1);
-    phy::Medium medium(s, config);
-    phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-    phy::Phy b(s, medium, {.position = {10, 0}}, 1);
-    phy::Phy c(s, medium, {.position = {20, 0}}, 2);
-    a.transmit(test_frame());
-    s.run();
-    EXPECT_EQ(medium.rebuilds(), 1u) << phy::to_string(policy);
-    EXPECT_EQ(b.rx_starts(), 1u);
+  sim::Simulation s(1);
+  phy::Medium medium(s);
+  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
+  phy::Phy b(s, medium, {.position = {10, 0}}, 1);
+  phy::Phy c(s, medium, {.position = {20, 0}}, 2);
+  a.transmit(test_frame());
+  s.run();
+  EXPECT_EQ(medium.rebuilds(), 1u);
+  EXPECT_EQ(b.rx_starts(), 1u);
 
-    EXPECT_TRUE(medium.detach(b));
-    EXPECT_FALSE(b.attached());
-    EXPECT_EQ(medium.attached().size(), 2u);
-    // Inbound direction: b no longer hears a.
-    a.transmit(test_frame());
-    s.run();
-    EXPECT_EQ(b.rx_starts(), 1u) << phy::to_string(policy);
-    EXPECT_EQ(c.rx_starts(), 2u) << phy::to_string(policy);
-    // Outbound direction: a detached b transmits into the void.
-    const auto scheduled = medium.deliveries_scheduled();
-    b.transmit(test_frame());
-    s.run();
-    EXPECT_EQ(medium.deliveries_scheduled(), scheduled)
-        << phy::to_string(policy);
-    EXPECT_EQ(a.rx_starts(), 0u);
-    // The patch was absorbed without a second rebuild.
-    EXPECT_EQ(medium.rebuilds(), 1u) << phy::to_string(policy);
-    EXPECT_EQ(medium.detaches(), 1u);
-    EXPECT_EQ(medium.incremental_detaches(), 1u) << phy::to_string(policy);
-  }
+  EXPECT_TRUE(medium.detach(b));
+  EXPECT_FALSE(b.attached());
+  EXPECT_EQ(medium.attached().size(), 2u);
+  // Inbound direction: b no longer hears a.
+  a.transmit(test_frame());
+  s.run();
+  EXPECT_EQ(b.rx_starts(), 1u);
+  EXPECT_EQ(c.rx_starts(), 2u);
+  // Outbound direction: a detached b transmits into the void.
+  const auto scheduled = medium.deliveries_scheduled();
+  b.transmit(test_frame());
+  s.run();
+  EXPECT_EQ(medium.deliveries_scheduled(), scheduled);
+  EXPECT_EQ(a.rx_starts(), 0u);
+  // The patch was absorbed without a second rebuild.
+  EXPECT_EQ(medium.rebuilds(), 1u);
+  EXPECT_EQ(medium.detaches(), 1u);
+  EXPECT_EQ(medium.incremental_detaches(), 1u);
 }
 
 TEST(MediumDetach, DetachIsIdempotentAndReattachRestoresDelivery) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -344,9 +305,7 @@ TEST(MediumDetach, DetachCancelsInFlightDeliveries) {
   // PHY the medium no longer knows — and the half-open reception must be
   // aborted so CCA clears.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -366,47 +325,41 @@ TEST(MediumDetach, DetachCancelsExactlyTheInFlightEventsOfManyOverlaps) {
   // are caught at 50 ns: near senders' rx_start has run (only rx_end is
   // in flight), far senders' has not (both are). Detach must cancel
   // exactly those events and leave every other receiver's alone.
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
-    SCOPED_TRACE(phy::to_string(policy));
-    sim::Simulation s(1);
-    phy::MediumConfig config;
-    config.delivery = policy;
-    phy::Medium medium(s, config);
-    phy::Phy b(s, medium, {.position = {0, 0}}, 0);
-    phy::Phy c(s, medium, {.position = {0, 5}}, 1);
-    std::vector<std::unique_ptr<phy::Phy>> senders;
-    constexpr int kSenders = 24;
-    const auto cutoff = sim::Duration::nanos(50);
-    std::uint64_t in_flight = 0;
-    for (int i = 0; i < kSenders; ++i) {
-      const double x = 3.0 + 1.25 * i;  // 3..31.75 m: 10..106 ns away
-      senders.push_back(std::make_unique<phy::Phy>(
-          s, medium, phy::PhyConfig{.position = {x, 0}},
-          static_cast<std::uint32_t>(2 + i)));
-      in_flight += phy::propagation_delay(config, x) <= cutoff ? 1 : 2;
-    }
-    for (int round = 0; round < 3; ++round) {
-      for (auto& sender : senders) {
-        sender->transmit(test_frame());
-        s.run();
-      }
-    }
-    for (auto& sender : senders) sender->transmit(test_frame());
-    s.run_until(s.now() + cutoff);
-    ASSERT_GT(in_flight, static_cast<std::uint64_t>(kSenders));
-    ASSERT_LT(in_flight, static_cast<std::uint64_t>(2 * kSenders));
-    const std::uint64_t b_starts = b.rx_starts();
-    ASSERT_EQ(b_starts, 4u * kSenders - (in_flight - kSenders));
-
-    const std::size_t pending = s.scheduler().pending_events();
-    EXPECT_TRUE(medium.detach(b));
-    EXPECT_EQ(pending - s.scheduler().pending_events(), in_flight);
-    s.run();
-    EXPECT_EQ(b.rx_starts(), b_starts);
-    EXPECT_EQ(c.rx_starts(), 4u * kSenders);
+  sim::Simulation s(1);
+  const phy::MediumConfig config;
+  phy::Medium medium(s, config);
+  phy::Phy b(s, medium, {.position = {0, 0}}, 0);
+  phy::Phy c(s, medium, {.position = {0, 5}}, 1);
+  std::vector<std::unique_ptr<phy::Phy>> senders;
+  constexpr int kSenders = 24;
+  const auto cutoff = sim::Duration::nanos(50);
+  std::uint64_t in_flight = 0;
+  for (int i = 0; i < kSenders; ++i) {
+    const double x = 3.0 + 1.25 * i;  // 3..31.75 m: 10..106 ns away
+    senders.push_back(std::make_unique<phy::Phy>(
+        s, medium, phy::PhyConfig{.position = {x, 0}},
+        static_cast<std::uint32_t>(2 + i)));
+    in_flight += phy::propagation_delay(config, x) <= cutoff ? 1 : 2;
   }
+  for (int round = 0; round < 3; ++round) {
+    for (auto& sender : senders) {
+      sender->transmit(test_frame());
+      s.run();
+    }
+  }
+  for (auto& sender : senders) sender->transmit(test_frame());
+  s.run_until(s.now() + cutoff);
+  ASSERT_GT(in_flight, static_cast<std::uint64_t>(kSenders));
+  ASSERT_LT(in_flight, static_cast<std::uint64_t>(2 * kSenders));
+  const std::uint64_t b_starts = b.rx_starts();
+  ASSERT_EQ(b_starts, 4u * kSenders - (in_flight - kSenders));
+
+  const std::size_t pending = s.scheduler().pending_events();
+  EXPECT_TRUE(medium.detach(b));
+  EXPECT_EQ(pending - s.scheduler().pending_events(), in_flight);
+  s.run();
+  EXPECT_EQ(b.rx_starts(), b_starts);
+  EXPECT_EQ(c.rx_starts(), 4u * kSenders);
 }
 
 TEST(MediumDetach, DestroyingAPhyMidFlightLeavesNoDanglingEvents) {
@@ -416,9 +369,7 @@ TEST(MediumDetach, DestroyingAPhyMidFlightLeavesNoDanglingEvents) {
   // suite runs sanitized). Destroy a mid-flight receiver AND a
   // mid-flight transmitter, then drain the queue.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   auto b = std::make_unique<phy::Phy>(
       s, medium, phy::PhyConfig{.position = {10, 0}}, 1);
@@ -443,41 +394,28 @@ TEST(MediumMove, MoveNodePatchesListsIncrementally) {
   // 0/30/60 m spread: cells are one ~36.5 m reach wide, so the world
   // spans multiple cells and moving b from mid-span to the far end
   // changes who hears whom. In-box moves must patch incrementally.
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
-    phy::MediumConfig config;
-    config.delivery = policy;
-    sim::Simulation s(1);
-    phy::Medium medium(s, config);
-    phy::Phy a(s, medium, {.position = {0, 0}}, 0);
-    phy::Phy b(s, medium, {.position = {30, 0}}, 1);
-    phy::Phy c(s, medium, {.position = {60, 0}}, 2);
-    a.transmit(test_frame());
-    s.run();
-    EXPECT_EQ(b.rx_starts(), 1u) << phy::to_string(policy);
-    EXPECT_EQ(medium.rebuilds(), 1u);
+  sim::Simulation s(1);
+  phy::Medium medium(s);
+  phy::Phy a(s, medium, {.position = {0, 0}}, 0);
+  phy::Phy b(s, medium, {.position = {30, 0}}, 1);
+  phy::Phy c(s, medium, {.position = {60, 0}}, 2);
+  a.transmit(test_frame());
+  s.run();
+  EXPECT_EQ(b.rx_starts(), 1u);
+  EXPECT_EQ(medium.rebuilds(), 1u);
 
-    medium.move_node(b, {58, 0});  // in-box, out of a's ~36.5 m reach
-    EXPECT_DOUBLE_EQ(b.config().position.x_m, 58.0);
-    a.transmit(test_frame());
-    b.transmit(test_frame());
-    s.run();
-    if (policy == phy::DeliveryPolicy::kFullMesh) {
-      // Full mesh still delivers everywhere; the patched entries carry
-      // the new (inert) receive powers.
-      EXPECT_EQ(b.rx_starts(), 2u);
-      EXPECT_EQ(c.rx_starts(), 3u);
-    } else {
-      EXPECT_EQ(b.rx_starts(), 1u) << "58 m from a: culled";
-      // c heard nothing before the move (60 m from a) and hears the
-      // moved b from 2 m now.
-      EXPECT_EQ(c.rx_starts(), 1u) << phy::to_string(policy);
-    }
-    EXPECT_EQ(medium.rebuilds(), 1u) << phy::to_string(policy);
-    EXPECT_EQ(medium.moves(), 1u);
-    EXPECT_EQ(medium.incremental_moves(), 1u) << phy::to_string(policy);
-  }
+  medium.move_node(b, {58, 0});  // in-box, out of a's ~36.5 m reach
+  EXPECT_DOUBLE_EQ(b.config().position.x_m, 58.0);
+  a.transmit(test_frame());
+  b.transmit(test_frame());
+  s.run();
+  EXPECT_EQ(b.rx_starts(), 1u) << "58 m from a: culled";
+  // c heard nothing before the move (60 m from a) and hears the moved
+  // b from 2 m now.
+  EXPECT_EQ(c.rx_starts(), 1u);
+  EXPECT_EQ(medium.rebuilds(), 1u);
+  EXPECT_EQ(medium.moves(), 1u);
+  EXPECT_EQ(medium.incremental_moves(), 1u);
 }
 
 TEST(MediumMove, FarOutOfBoxMoveForcesRebuild) {
@@ -486,9 +424,7 @@ TEST(MediumMove, FarOutOfBoxMoveForcesRebuild) {
   // inserted — so a move leaving the box must fall back to a rebuild
   // (which re-derives the box) instead of patching.
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {30, 0}}, 1);
   a.transmit(test_frame());
@@ -512,9 +448,7 @@ TEST(MediumMove, FarOutOfBoxMoveForcesRebuild) {
 
 TEST(MediumMove, MoveOfDetachedPhyTakesEffectOnReattach) {
   sim::Simulation s(1);
-  phy::MediumConfig config;
-  config.delivery = phy::DeliveryPolicy::kCulled;
-  phy::Medium medium(s, config);
+  phy::Medium medium(s);
   phy::Phy a(s, medium, {.position = {0, 0}}, 0);
   phy::Phy b(s, medium, {.position = {10, 0}}, 1);
   a.transmit(test_frame());
@@ -609,83 +543,8 @@ TEST(SpatialIndexProperty, NearBoxQueriesStaySupersets_FartherOutIsUnproven) {
 }
 
 // ---------------------------------------------------------------------
-// Shard-plan property: stripes partition the cell set exactly
+// Paper parity: in the paper's worlds the culled lists are the full mesh
 // ---------------------------------------------------------------------
-
-TEST(ShardPlanProperty, StripesPartitionColumnsExactly) {
-  for (const int cells_x : {1, 2, 3, 7, 11, 64}) {
-    for (const std::size_t stripes : {1u, 2u, 3u, 4u, 5u, 9u}) {
-      const phy::ShardPlan plan(cells_x, stripes);
-      EXPECT_EQ(plan.stripes(),
-                std::min<std::size_t>(stripes, cells_x));
-      // Ranges tile [0, cells_x) contiguously with no gaps or overlap,
-      // and stripe_of agrees with the ranges for every column.
-      int expected_first = 0;
-      for (std::size_t s = 0; s < plan.stripes(); ++s) {
-        const auto [first, last] = plan.stripe_columns(s);
-        EXPECT_EQ(first, expected_first);
-        EXPECT_LT(first, last) << "empty stripe";
-        for (int col = first; col < last; ++col) {
-          EXPECT_EQ(plan.stripe_of(col), s);
-        }
-        expected_first = last;
-      }
-      EXPECT_EQ(expected_first, cells_x);
-    }
-  }
-}
-
-TEST(ShardPlanProperty, EveryNodeLandsInExactlyOneStripe) {
-  // The backend's grouping: node -> clamped cell column -> stripe. Over
-  // random placements every node must land in exactly one stripe, so no
-  // worker computes (or misses) a source another worker owns.
-  sim::Rng rng(7);
-  std::vector<phy::Position> points;
-  for (int i = 0; i < 120; ++i) {
-    points.push_back({rng.uniform() * 300.0, rng.uniform() * 80.0});
-  }
-  phy::SpatialGrid grid;
-  grid.build(points, 36.5);
-  const phy::ShardPlan plan(grid.cells_x(), 4);
-  EXPECT_GE(plan.stripes(), 2u);
-
-  std::vector<std::size_t> owners(points.size(), SIZE_MAX);
-  std::vector<std::size_t> per_stripe(plan.stripes(), 0);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto stripe = plan.stripe_of(grid.clamped_cell_x(points[i]));
-    ASSERT_LT(stripe, plan.stripes());
-    EXPECT_EQ(owners[i], SIZE_MAX) << "node assigned twice";
-    owners[i] = stripe;
-    ++per_stripe[stripe];
-  }
-  std::size_t total = 0;
-  for (const auto count : per_stripe) total += count;
-  EXPECT_EQ(total, points.size());
-}
-
-// ---------------------------------------------------------------------
-// Scenario-level policy resolution
-// ---------------------------------------------------------------------
-
-TEST(MediumPolicyResolution, AutoCullsLargeScenariosOnly) {
-  // Paper topologies stay on the exact-parity full mesh.
-  EXPECT_EQ(topo::ScenarioSpec::two_hop().medium_config().delivery,
-            phy::DeliveryPolicy::kFullMesh);
-  EXPECT_EQ(topo::ScenarioSpec::fig6_star().medium_config().delivery,
-            phy::DeliveryPolicy::kFullMesh);
-  // At the threshold (64 >= 32) auto switches to culling.
-  EXPECT_EQ(topo::ScenarioSpec::grid(8, 8).medium_config().delivery,
-            phy::DeliveryPolicy::kCulled);
-  // Explicit settings win in both directions.
-  auto forced_full = topo::ScenarioSpec::grid(8, 8);
-  forced_full.medium.policy = topo::MediumPolicy::kFullMesh;
-  EXPECT_EQ(forced_full.medium_config().delivery,
-            phy::DeliveryPolicy::kFullMesh);
-  auto forced_cull = topo::ScenarioSpec::two_hop();
-  forced_cull.medium.policy = topo::MediumPolicy::kCulled;
-  EXPECT_EQ(forced_cull.medium_config().delivery,
-            phy::DeliveryPolicy::kCulled);
-}
 
 TEST(MediumPolicyResolution, PaperWorldsFitInsideOneReachRadius) {
   // Every paper topology spans less than the reach radius, so culled
@@ -698,15 +557,48 @@ TEST(MediumPolicyResolution, PaperWorldsFitInsideOneReachRadius) {
   }
 }
 
+TEST(MediumParity, PaperSpecsBuildFullMeshLists) {
+  // So the lists every paper scenario builds are the full mesh itself:
+  // each source lists all N−1 others in attach order, with receive power
+  // and delay bit-equal to the reference backend's.
+  for (const auto& spec :
+       {topo::ScenarioSpec::one_hop(), topo::ScenarioSpec::two_hop(),
+        topo::ScenarioSpec::three_hop(), topo::ScenarioSpec::fig6_star()}) {
+    SCOPED_TRACE(spec.label());
+    auto s = topo::Scenario::build(spec, 1);
+    const auto& attached = s.medium().attached();
+    ASSERT_EQ(attached.size(), spec.node_count());
+    const auto& culled = s.medium().backend();
+    testsupport::FullMeshBackend reference;
+    reference.rebuild(attached, s.medium().config());
+    for (std::size_t src = 0; src < attached.size(); ++src) {
+      const auto& got = culled.deliveries(*attached[src]);
+      const auto& want = reference.deliveries(*attached[src]);
+      ASSERT_EQ(got.size(), attached.size() - 1) << "source " << src;
+      ASSERT_EQ(want.size(), got.size()) << "source " << src;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].destination, attached[i < src ? i : i + 1])
+            << "source " << src << " entry " << i;
+        EXPECT_EQ(got[i].destination, want[i].destination);
+        EXPECT_EQ(got[i].rx_power_dbm, want[i].rx_power_dbm)
+            << "source " << src << " entry " << i;
+        EXPECT_EQ(got[i].propagation.ns(), want[i].propagation.ns())
+            << "source " << src << " entry " << i;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Trace-digest equivalence: culled == full mesh, bit for bit
 // ---------------------------------------------------------------------
 
-std::uint32_t digest_with_policy(topo::ScenarioSpec spec,
-                                 topo::MediumPolicy policy,
-                                 std::uint64_t seed) {
-  spec.medium.policy = policy;
+std::uint32_t run_digest(const topo::ScenarioSpec& spec, bool full_mesh,
+                         std::uint64_t seed) {
   auto s = topo::Scenario::build(spec, seed);
+  if (full_mesh) {
+    s.medium().set_backend(std::make_unique<testsupport::FullMeshBackend>());
+  }
   s.capture_traces();
   const auto sender = spec.sessions.front().sender;
   const auto receiver = spec.sessions.front().receiver;
@@ -728,8 +620,8 @@ TEST(MediumEquivalence, CulledMatchesFullMeshOnEveryPaperTopology) {
       topo::ScenarioSpec::one_hop(), topo::ScenarioSpec::two_hop(),
       topo::ScenarioSpec::three_hop(), topo::ScenarioSpec::fig6_star()};
   for (const auto& spec : specs) {
-    EXPECT_EQ(digest_with_policy(spec, topo::MediumPolicy::kFullMesh, 7),
-              digest_with_policy(spec, topo::MediumPolicy::kCulled, 7))
+    EXPECT_EQ(run_digest(spec, true, 7),
+              run_digest(spec, false, 7))
         << spec.label();
   }
 }
@@ -740,8 +632,8 @@ TEST(MediumEquivalence, CulledMatchesFullMeshOnDenseGridAndRing) {
   // it routes every query through the spatial index.
   for (const auto& spec :
        {topo::ScenarioSpec::grid(3, 3), topo::ScenarioSpec::ring(6)}) {
-    EXPECT_EQ(digest_with_policy(spec, topo::MediumPolicy::kFullMesh, 11),
-              digest_with_policy(spec, topo::MediumPolicy::kCulled, 11))
+    EXPECT_EQ(run_digest(spec, true, 11),
+              run_digest(spec, false, 11))
         << spec.label();
   }
 }
@@ -759,8 +651,8 @@ TEST(MediumEquivalence, CulledMatchesFullMeshWhenCullingActuallyDrops) {
   // delivery was behaviourally inert.
   const auto spec = sparse_with_outlier();
   EXPECT_GT(spec.world_bounds().diagonal_m(), spec.max_reach_m());
-  EXPECT_EQ(digest_with_policy(spec, topo::MediumPolicy::kFullMesh, 5),
-            digest_with_policy(spec, topo::MediumPolicy::kCulled, 5));
+  EXPECT_EQ(run_digest(spec, true, 5),
+            run_digest(spec, false, 5));
 }
 
 topo::ScenarioSpec sparse_with_outlier() {
@@ -773,9 +665,7 @@ topo::ScenarioSpec sparse_with_outlier() {
 }
 
 TEST(MediumCull, OutOfReachNodeRecordsZeroRxStarts) {
-  auto spec = sparse_with_outlier();
-  spec.medium.policy = topo::MediumPolicy::kCulled;
-  auto s = topo::Scenario::build(spec, 3);
+  auto s = topo::Scenario::build(sparse_with_outlier(), 3);
   app::UdpSinkApp sink(s.sim(), s.node(2), 9001);
   app::UdpCbrConfig cbr_cfg;
   cbr_cfg.destination = {proto::Ipv4Address::for_node(2), 9001};
@@ -791,9 +681,8 @@ TEST(MediumCull, OutOfReachNodeRecordsZeroRxStarts) {
 TEST(MediumCull, FullMeshStillBothersTheOutlier) {
   // The contrast case: under full mesh the same outlier is scheduled
   // for every transmission (the waste culling removes).
-  auto spec = sparse_with_outlier();
-  spec.medium.policy = topo::MediumPolicy::kFullMesh;
-  auto s = topo::Scenario::build(spec, 3);
+  auto s = topo::Scenario::build(sparse_with_outlier(), 3);
+  s.medium().set_backend(std::make_unique<testsupport::FullMeshBackend>());
   app::UdpSinkApp sink(s.sim(), s.node(2), 9001);
   app::UdpCbrConfig cbr_cfg;
   cbr_cfg.destination = {proto::Ipv4Address::for_node(2), 9001};

@@ -1,22 +1,23 @@
 // The mobility determinism suite: the medium's incremental detach/move
 // maintenance must be indistinguishable from rebuilding, and trace
-// digests must stay bit-identical across every backend while nodes
-// move, teleport and churn.
+// digests must stay bit-identical to the full mesh while nodes move,
+// teleport and churn.
 //
 // Two layers of differential testing:
 //
 //   1. List-level: a Medium driven through a randomized schedule of
 //      moves (in-box and far-out), detaches and re-attaches must, after
 //      EVERY step, hold delivery lists equal — destination, bit-exact
-//      receive power, delay — to a from-scratch rebuild over the same
-//      attached set, for all three backends.
+//      receive power, delay — to a fresh culled backend rebuilt over
+//      the same attached set.
 //   2. Scenario-level: flood traffic over waypoint / distance-step /
 //      churn mobility models must produce the same trace digest and
-//      byte-identical stats tables under full-mesh, culled and
-//      sharded@1/2/4, across a seed sweep.
+//      byte-identical stats tables on the culled medium and on the
+//      full-mesh reference (tests/support/full_mesh_backend.h), across
+//      a seed sweep.
 //
 // Registered under the `mobility` ctest label; CI runs it under TSan
-// alongside the shard slice.
+// alongside the threads slice.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include "phy/phy.h"
 #include "sim/rng.h"
 #include "sim/simulation.h"
+#include "support/full_mesh_backend.h"
 #include "topo/mobility.h"
 #include "topo/scenario.h"
 
@@ -42,7 +44,7 @@ namespace {
 void expect_lists_match_rebuild(phy::Medium& medium, const std::string& ctx) {
   const auto& attached = medium.attached();
   const auto& live = medium.backend();
-  const auto reference = phy::make_delivery_backend(medium.config().delivery);
+  const auto reference = phy::make_delivery_backend();
   reference->rebuild(attached, medium.config());
   for (const phy::Phy* src : attached) {
     const auto& got = live.deliveries(*src);
@@ -63,66 +65,53 @@ void expect_lists_match_rebuild(phy::Medium& medium, const std::string& ctx) {
 }
 
 TEST(MobilityDeterminism, EveryStepMatchesAFromScratchRebuild) {
-  for (const auto policy :
-       {phy::DeliveryPolicy::kFullMesh, phy::DeliveryPolicy::kCulled,
-        phy::DeliveryPolicy::kSharded}) {
-    for (const std::uint64_t seed : {1, 2, 3}) {
-      sim::Simulation s(seed);
-      phy::MediumConfig config;
-      config.delivery = policy;
-      config.shard_threads = 2;
-      phy::Medium medium(s, config);
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    sim::Simulation s(seed);
+    phy::Medium medium(s);
 
-      // 6×4 grid at 8 m: spans two reach-radius cells, so culled moves
-      // cross cell boundaries and the lists genuinely differ by cell.
-      std::vector<std::unique_ptr<phy::Phy>> phys;
-      for (std::uint32_t i = 0; i < 24; ++i) {
-        phys.push_back(std::make_unique<phy::Phy>(
-            s, medium,
-            phy::PhyConfig{.position = {8.0 * (i % 6), 8.0 * (i / 6)}}, i));
-      }
-      expect_lists_match_rebuild(medium, "initial build");
-
-      sim::Rng rng(seed * 977 + 13);
-      for (int op = 0; op < 60; ++op) {
-        const std::string ctx = std::string(phy::to_string(policy)) +
-                                " seed " + std::to_string(seed) + " op " +
-                                std::to_string(op);
-        phy::Phy& target =
-            *phys[static_cast<std::size_t>(rng.uniform() * 24) % 24];
-        const double r = rng.uniform();
-        if (r < 0.45) {
-          // In-box move (the incremental path for every backend).
-          medium.move_node(target,
-                           {rng.uniform() * 40.0, rng.uniform() * 24.0});
-        } else if (r < 0.6) {
-          // Far out of the bounding box: must fall back to a rebuild.
-          medium.move_node(target, {200.0 + rng.uniform() * 50.0, 0.0});
-        } else if (r < 0.8) {
-          medium.detach(target);  // no-op when already detached
-        } else {
-          if (!target.attached()) medium.attach(target);
-        }
-        expect_lists_match_rebuild(medium, ctx);
-      }
-      // The schedule must have exercised both maintenance paths.
-      EXPECT_GT(medium.moves(), 0u);
-      EXPECT_GT(medium.detaches(), 0u);
-      if (policy == phy::DeliveryPolicy::kFullMesh) {
-        EXPECT_EQ(medium.incremental_moves(), medium.moves())
-            << "full mesh has no geometry to fall back over";
-      } else {
-        EXPECT_GT(medium.incremental_moves(), 0u);
-        EXPECT_LT(medium.incremental_moves(), medium.moves())
-            << "far-out moves should have forced rebuilds";
-      }
-      EXPECT_GT(medium.incremental_detaches(), 0u);
+    // 6×4 grid at 8 m: spans two reach-radius cells, so culled moves
+    // cross cell boundaries and the lists genuinely differ by cell.
+    std::vector<std::unique_ptr<phy::Phy>> phys;
+    for (std::uint32_t i = 0; i < 24; ++i) {
+      phys.push_back(std::make_unique<phy::Phy>(
+          s, medium,
+          phy::PhyConfig{.position = {8.0 * (i % 6), 8.0 * (i / 6)}}, i));
     }
+    expect_lists_match_rebuild(medium, "initial build");
+
+    sim::Rng rng(seed * 977 + 13);
+    for (int op = 0; op < 60; ++op) {
+      const std::string ctx =
+          "seed " + std::to_string(seed) + " op " + std::to_string(op);
+      phy::Phy& target =
+          *phys[static_cast<std::size_t>(rng.uniform() * 24) % 24];
+      const double r = rng.uniform();
+      if (r < 0.45) {
+        // In-box move (the incremental path).
+        medium.move_node(target,
+                         {rng.uniform() * 40.0, rng.uniform() * 24.0});
+      } else if (r < 0.6) {
+        // Far out of the bounding box: must fall back to a rebuild.
+        medium.move_node(target, {200.0 + rng.uniform() * 50.0, 0.0});
+      } else if (r < 0.8) {
+        medium.detach(target);  // no-op when already detached
+      } else {
+        if (!target.attached()) medium.attach(target);
+      }
+      expect_lists_match_rebuild(medium, ctx);
+    }
+    // The schedule must have exercised both maintenance paths.
+    EXPECT_GT(medium.moves(), 0u);
+    EXPECT_GT(medium.detaches(), 0u);
+    EXPECT_GT(medium.incremental_moves(), 0u);
+    EXPECT_LT(medium.incremental_moves(), medium.moves())
+        << "far-out moves should have forced rebuilds";
+    EXPECT_GT(medium.incremental_detaches(), 0u);
   }
 }
 
 // ---------------------------------------------------------------------
-// Scenario-level: digests bit-identical across backends under motion
+// Scenario-level: digests bit-identical to the full mesh under motion
 // ---------------------------------------------------------------------
 
 struct RunFingerprint {
@@ -135,11 +124,12 @@ struct RunFingerprint {
   std::uint64_t rebuilds = 0;
 };
 
-RunFingerprint run_mobile(topo::ScenarioSpec spec, topo::MediumPolicy policy,
-                          std::size_t threads, std::uint64_t seed) {
-  spec.medium.policy = policy;
-  spec.medium.shard_threads = threads;
+RunFingerprint run_mobile(const topo::ScenarioSpec& spec, bool full_mesh,
+                          std::uint64_t seed) {
   auto s = topo::Scenario::build(spec, seed);
+  if (full_mesh) {
+    s.medium().set_backend(std::make_unique<testsupport::FullMeshBackend>());
+  }
   s.capture_traces();
 
   std::vector<std::unique_ptr<app::FloodApp>> flooders;
@@ -164,42 +154,22 @@ RunFingerprint run_mobile(topo::ScenarioSpec spec, topo::MediumPolicy policy,
   return fp;
 }
 
-// Runs `spec` under every backend × thread count and asserts the
-// determinism-under-motion contract; returns the culled fingerprint for
-// extra model-specific assertions.
+// Runs `spec` on the culled medium and on the full-mesh reference and
+// asserts the determinism-under-motion contract; returns the culled
+// fingerprint for extra model-specific assertions.
 RunFingerprint assert_backends_agree_in_motion(const topo::ScenarioSpec& spec,
                                                std::uint64_t seed) {
-  const auto reference =
-      run_mobile(spec, topo::MediumPolicy::kCulled, 0, seed);
-
-  const auto full_mesh =
-      run_mobile(spec, topo::MediumPolicy::kFullMesh, 0, seed);
-  EXPECT_EQ(full_mesh.digest, reference.digest)
+  const auto culled = run_mobile(spec, false, seed);
+  const auto full_mesh = run_mobile(spec, true, seed);
+  EXPECT_EQ(full_mesh.digest, culled.digest)
       << spec.label() << " seed " << seed << ": full-mesh digest diverged";
-  EXPECT_EQ(full_mesh.stats, reference.stats)
+  EXPECT_EQ(full_mesh.stats, culled.stats)
       << spec.label() << " seed " << seed << ": full-mesh stats diverged";
-  EXPECT_EQ(full_mesh.transmissions, reference.transmissions);
+  EXPECT_EQ(full_mesh.transmissions, culled.transmissions);
   // The motion schedule itself must be backend-invariant.
-  EXPECT_EQ(full_mesh.detaches, reference.detaches);
-  EXPECT_EQ(full_mesh.moves, reference.moves);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}}) {
-    const auto sharded =
-        run_mobile(spec, topo::MediumPolicy::kSharded, threads, seed);
-    EXPECT_EQ(sharded.digest, reference.digest)
-        << spec.label() << " seed " << seed << ": sharded@" << threads
-        << " digest diverged";
-    EXPECT_EQ(sharded.stats, reference.stats)
-        << spec.label() << " seed " << seed << ": sharded@" << threads
-        << " stats diverged";
-    // Sharded shares the culled geometry, so its maintenance decisions
-    // must match too, not just its behaviour.
-    EXPECT_EQ(sharded.moves, reference.moves);
-    EXPECT_EQ(sharded.incremental_moves, reference.incremental_moves)
-        << spec.label() << " seed " << seed << ": sharded@" << threads;
-  }
-  return reference;
+  EXPECT_EQ(full_mesh.detaches, culled.detaches);
+  EXPECT_EQ(full_mesh.moves, culled.moves);
+  return culled;
 }
 
 topo::ScenarioSpec mobile_grid(topo::MobilityKind kind) {
@@ -217,7 +187,7 @@ TEST(MobilityDeterminism, WaypointWalksAreBackendInvariant) {
         assert_backends_agree_in_motion(mobile_grid(topo::MobilityKind::kWaypoint), seed);
     EXPECT_GT(culled.moves, 0u);
     // Waypoint walks stay inside the world bounds, so the culled
-    // backends absorb every move without rebuilding.
+    // medium absorbs every move without rebuilding.
     EXPECT_EQ(culled.incremental_moves, culled.moves);
     EXPECT_EQ(culled.rebuilds, 1u);
   }
@@ -245,9 +215,9 @@ TEST(MobilityDeterminism, ChurnIsBackendInvariant) {
 }
 
 TEST(MobilityDeterminism, WideWorldWaypointUsesMultipleStripes) {
-  // A world wider than one reach-radius cell, so the sharded runs in
-  // the sweep genuinely stripe their rebuilds while nodes move across
-  // cell boundaries.
+  // A world wider than one reach-radius cell: nodes walk across cell
+  // boundaries, and the culled lists genuinely differ from the full
+  // mesh's while they do.
   auto spec = topo::ScenarioSpec::grid(3, 10);
   spec.spacing_m = 7.0;  // 63 m wide
   spec.mobility.kind = topo::MobilityKind::kWaypoint;

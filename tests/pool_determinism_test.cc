@@ -1,8 +1,8 @@
 // Pooled vs heap differential determinism: recycling memory through
 // util::BufferPool must be invisible to the simulation. Every paper
-// spec runs twice — pooling on and pooling off — under every medium
-// backend (full mesh, culled, sharded at 1/2/4 threads), and each pair
-// must agree on
+// spec runs twice — pooling on and pooling off — on the culled medium
+// and on the full-mesh reference backend
+// (tests/support/full_mesh_backend.h), and each pair must agree on
 //
 //   - the trace digest (CRC-32 over the network-event trace),
 //   - the per-node MAC stats table, byte for byte, and
@@ -11,9 +11,7 @@
 // A pool bug that leaked recycled-block contents into frame payloads,
 // or an allocation path whose availability changed event order, fails
 // here before it can skew a figure. Registered under the `pool` ctest
-// label; the TSan CI job runs it so the cross-thread free path (shard
-// workers freeing blocks their lease does not own) is exercised under
-// the race detector.
+// label, which the ASan and TSan CI slices run.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +22,7 @@
 #include "app/flood.h"
 #include "app/udp_cbr.h"
 #include "app/udp_sink.h"
+#include "support/full_mesh_backend.h"
 #include "topo/scenario.h"
 #include "util/pool.h"
 
@@ -51,26 +50,13 @@ class ScopedPooling {
   bool previous_;
 };
 
-struct Backend {
-  const char* label;
-  topo::MediumPolicy policy;
-  std::size_t shard_threads;
-};
-
-constexpr Backend kBackends[] = {
-    {"full-mesh", topo::MediumPolicy::kFullMesh, 0},
-    {"culled", topo::MediumPolicy::kCulled, 0},
-    {"sharded@1", topo::MediumPolicy::kSharded, 1},
-    {"sharded@2", topo::MediumPolicy::kSharded, 2},
-    {"sharded@4", topo::MediumPolicy::kSharded, 4},
-};
-
-RunFingerprint run_flood(topo::ScenarioSpec spec, const Backend& backend,
+RunFingerprint run_flood(const topo::ScenarioSpec& spec, bool full_mesh,
                          bool pooled) {
   const ScopedPooling pooling(pooled);
-  spec.medium.policy = backend.policy;
-  spec.medium.shard_threads = backend.shard_threads;
   auto s = topo::Scenario::build(spec, /*seed=*/7);
+  if (full_mesh) {
+    s.medium().set_backend(std::make_unique<testsupport::FullMeshBackend>());
+  }
   s.capture_traces();
 
   std::vector<std::unique_ptr<app::FloodApp>> flooders;
@@ -94,11 +80,11 @@ RunFingerprint run_flood(topo::ScenarioSpec spec, const Backend& backend,
 }
 
 void assert_pooling_invisible(const topo::ScenarioSpec& spec) {
-  for (const auto& backend : kBackends) {
-    const auto pooled = run_flood(spec, backend, /*pooled=*/true);
-    const auto heap = run_flood(spec, backend, /*pooled=*/false);
+  for (const bool full_mesh : {true, false}) {
+    const auto pooled = run_flood(spec, full_mesh, /*pooled=*/true);
+    const auto heap = run_flood(spec, full_mesh, /*pooled=*/false);
     const std::string where =
-        std::string(spec.label()) + " / " + backend.label;
+        spec.label() + (full_mesh ? " / full-mesh" : " / culled");
     EXPECT_EQ(pooled.digest, heap.digest)
         << where << ": pooled vs heap trace digest diverged";
     EXPECT_EQ(pooled.stats, heap.stats)
@@ -124,9 +110,8 @@ TEST(PoolDeterminism, Fig6Star) {
   assert_pooling_invisible(topo::ScenarioSpec::fig6_star());
 }
 
-// A wider world than the paper specs: multiple spatial-grid stripes
-// under the sharded backend, so recycled blocks actually cross worker
-// threads (the remote-free path) while digests are being pinned.
+// A wider world than the paper specs, with more receivers per frame and
+// so more recycled transmissions in flight while digests are pinned.
 TEST(PoolDeterminism, WideGrid) {
   auto spec = topo::ScenarioSpec::grid(4, 4);
   spec.sessions = {{0, 15}};

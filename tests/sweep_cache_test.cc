@@ -9,6 +9,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "app/sweep.h"
 #include "util/crc32.h"
@@ -69,8 +70,10 @@ TEST(SweepCache, CacheHitEqualsRecompute) {
 
 TEST(SweepCache, KeySeparatesEveryAxisAndSeed) {
   auto grid = small_grid();
-  grid.mediums = {{"full", topo::MediumPolicy::kFullMesh},
-                  {"cull", topo::MediumPolicy::kCulled}};
+  grid.transports = {
+      {"", std::nullopt},
+      {"delack",
+       transport::TransportTuning{.ack = transport::AckScheme::kDelayed}}};
   grid.rate_adaptations = {mac::RateAdaptationScheme::kNone,
                            mac::RateAdaptationScheme::kSnr};
   const auto points = expand_sweep(grid);
@@ -120,19 +123,6 @@ TEST(SweepCache, KeyFingerprintsTheWorkloadBaseConfig) {
   auto c = a;
   c.config.traffic = topo::TrafficKind::kUdp;
   EXPECT_NE(SweepCache::key_of(a), SweepCache::key_of(c));
-}
-
-TEST(SweepCache, KeyDedupesAutoAgainstItsResolvedPolicy) {
-  // kAuto resolves by node count; a point swept under the default axis
-  // and the same point swept under an explicit entry that resolves to
-  // the same delivery policy describe one simulation and must share a
-  // cache slot.
-  SweepGrid grid;
-  grid.scenarios = {{"", topo::ScenarioSpec::two_hop()}};  // auto -> full
-  auto auto_point = expand_sweep(grid).front();
-  grid.mediums = {{"full", topo::MediumPolicy::kFullMesh}};
-  auto pinned_point = expand_sweep(grid).front();
-  EXPECT_EQ(SweepCache::key_of(auto_point), SweepCache::key_of(pinned_point));
 }
 
 TEST(SweepCache, KeyFingerprintsPolicyKnobsBehindEqualLabels) {
@@ -191,7 +181,6 @@ topo::ExperimentResult full_result() {
   r.relay_indices = {1, 3, 5};
   r.phy_transmissions = 100;
   r.phy_deliveries = 101;
-  r.phy_shards = 102;
   r.phy_rebuilds = 103;
   r.phy_incremental_attaches = 104;
   r.phy_detaches = 105;
@@ -228,7 +217,6 @@ TEST(SweepCacheDisk, ResultRoundTripsThroughText) {
   expect_equal_results(original, restored);
   EXPECT_EQ(original.relay_indices, restored.relay_indices);
   EXPECT_EQ(original.sim_time.ns(), restored.sim_time.ns());
-  EXPECT_EQ(original.phy_shards, restored.phy_shards);
   EXPECT_EQ(original.phy_rebuilds, restored.phy_rebuilds);
   EXPECT_EQ(original.phy_incremental_attaches,
             restored.phy_incremental_attaches);
@@ -267,38 +255,51 @@ TEST(SweepCacheDisk, ResultRoundTripsThroughText) {
 }
 
 TEST(SweepCacheDisk, VersionTwoPayloadReadsAsMiss) {
-  // A well-formed version-2 payload: the v3 text with the old header and
-  // the two parallel-scheduler counters (windows, parallel events) back
-  // after the executed-event count. It must be rejected outright, not
-  // parsed with every later counter shifted by two.
-  std::string v2 = serialize_result(full_result());
-  const std::string v3_header = "hydra-sweep-result 3\n";
-  ASSERT_EQ(v2.compare(0, v3_header.size(), v3_header), 0);
-  v2.replace(0, v3_header.size(), "hydra-sweep-result 2\n");
+  // Well-formed payloads of the two previous versions, rebuilt from the
+  // v4 text: v3 carries the medium shard count after the delivery
+  // count, and v2 additionally the two parallel-scheduler counters
+  // (windows, parallel events) after the executed-event count. Each must
+  // be rejected outright, not parsed with every later counter shifted.
+  const std::string v4 = serialize_result(full_result());
+  const std::string v4_header = "hydra-sweep-result 4\n";
+  ASSERT_EQ(v4.compare(0, v4_header.size(), v4_header), 0);
+  std::string v3 = v4;
+  v3.replace(0, v4_header.size(), "hydra-sweep-result 3\n");
+  const std::string deliveries = "counters 100 101 ";
+  const auto shards_at = v3.find(deliveries);
+  ASSERT_NE(shards_at, std::string::npos);
+  v3.insert(shards_at + deliveries.size(), "102 ");
+  std::string v2 = v3;
+  v2.replace(0, v4_header.size(), "hydra-sweep-result 2\n");
   const std::string executed = " 108 109 ";
   const auto at = v2.find(executed);
   ASSERT_NE(at, std::string::npos);
   v2.insert(at + executed.size(), "110 111 ");
-  topo::ExperimentResult restored;
-  EXPECT_FALSE(deserialize_result(v2, &restored));
 
-  // Left on disk by an older build, it degrades to a cache miss.
-  const auto dir = fresh_disk_dir("version2");
-  const std::string key = "v2|key";
-  const auto fp = crc32(
-      {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()});
-  char name[32];
-  std::snprintf(name, sizeof name, "%08x.sweep", fp);
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream old(std::filesystem::path(dir) / name);
-    old << key << "\n" << v2;
+  for (const auto& [version, payload] :
+       {std::pair{"v2", v2}, std::pair{"v3", v3}}) {
+    SCOPED_TRACE(version);
+    topo::ExperimentResult restored;
+    EXPECT_FALSE(deserialize_result(payload, &restored));
+
+    // Left on disk by an older build, it degrades to a cache miss.
+    const auto dir = fresh_disk_dir(version);
+    const std::string key = std::string(version) + "|key";
+    const auto fp = crc32(
+        {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()});
+    char name[32];
+    std::snprintf(name, sizeof name, "%08x.sweep", fp);
+    std::filesystem::create_directories(dir);
+    {
+      std::ofstream old(std::filesystem::path(dir) / name);
+      old << key << "\n" << payload;
+    }
+    SweepCache reader;
+    reader.set_disk_dir(dir);
+    EXPECT_EQ(reader.find(key), nullptr);
+    EXPECT_EQ(reader.disk_hits(), 0u);
+    EXPECT_EQ(reader.misses(), 1u);
   }
-  SweepCache reader;
-  reader.set_disk_dir(dir);
-  EXPECT_EQ(reader.find(key), nullptr);
-  EXPECT_EQ(reader.disk_hits(), 0u);
-  EXPECT_EQ(reader.misses(), 1u);
 }
 
 TEST(SweepCacheDisk, PersistsAcrossCacheInstances) {
@@ -400,21 +401,6 @@ TEST(SweepCacheDisk, SweepWritesThroughAndRereadsFromDisk) {
     EXPECT_TRUE(warm[i].from_cache);
     expect_equal_results(cold[i].result, warm[i].result);
   }
-}
-
-TEST(SweepCache, MediumAxisExpandsAndLabels) {
-  SweepGrid grid;
-  grid.scenarios = {{"", topo::ScenarioSpec::two_hop()}};
-  grid.mediums = {{"full", topo::MediumPolicy::kFullMesh},
-                  {"cull", topo::MediumPolicy::kCulled}};
-  const auto points = expand_sweep(grid);
-  ASSERT_EQ(points.size(), 2u);
-  EXPECT_EQ(points[0].medium_label, "full");
-  EXPECT_EQ(points[0].config.scenario.medium.policy,
-            topo::MediumPolicy::kFullMesh);
-  EXPECT_EQ(points[1].medium_label, "cull");
-  EXPECT_EQ(points[1].config.scenario.medium.policy,
-            topo::MediumPolicy::kCulled);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // invisible under the default tuning (NewReno + immediate ACK). Every
 // paper spec — plus chain, star and grid worlds — runs the same file
 // workload twice, once over the refactored transport::TcpConnection and
-// once over the frozen pre-seam copy in tests/support/seed_tcp.h, under
-// full mesh, culled and sharded@4, and each pair must agree on
+// once over the frozen pre-seam copy in tests/support/seed_tcp.h, on the
+// culled medium and on the full-mesh reference backend
+// (tests/support/full_mesh_backend.h), and each pair must agree on
 //
 //   - the trace digest (CRC-32 over the network-event trace),
 //   - the per-node MAC stats table, byte for byte,
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "support/full_mesh_backend.h"
 #include "support/seed_tcp.h"
 #include "topo/scenario.h"
 #include "transport/host.h"
@@ -44,18 +46,6 @@ struct RunFingerprint {
   std::uint64_t executed_events = 0;
   std::uint64_t delivered_bytes = 0;
   bool all_complete = false;
-};
-
-struct Backend {
-  const char* label;
-  topo::MediumPolicy policy;
-  std::size_t shard_threads;
-};
-
-constexpr Backend kBackends[] = {
-    {"full-mesh", topo::MediumPolicy::kFullMesh, 0},
-    {"culled", topo::MediumPolicy::kCulled, 0},
-    {"sharded@4", topo::MediumPolicy::kSharded, 4},
 };
 
 // The two sides of the differential, as traits the harness templates
@@ -103,10 +93,11 @@ class Sender {
 };
 
 template <typename Side>
-RunFingerprint run_transfers(topo::ScenarioSpec spec, const Backend& backend) {
-  spec.medium.policy = backend.policy;
-  spec.medium.shard_threads = backend.shard_threads;
+RunFingerprint run_transfers(const topo::ScenarioSpec& spec, bool full_mesh) {
   auto s = topo::Scenario::build(spec, /*seed=*/5);
+  if (full_mesh) {
+    s.medium().set_backend(std::make_unique<testsupport::FullMeshBackend>());
+  }
   s.capture_traces();
 
   const auto sessions = spec.sessions;
@@ -162,11 +153,11 @@ RunFingerprint run_transfers(topo::ScenarioSpec spec, const Backend& backend) {
 }
 
 void assert_seam_invisible(const topo::ScenarioSpec& spec) {
-  for (const auto& backend : kBackends) {
-    const auto pluggable = run_transfers<PluggableSide>(spec, backend);
-    const auto seed = run_transfers<SeedSide>(spec, backend);
+  for (const bool full_mesh : {true, false}) {
+    const auto pluggable = run_transfers<PluggableSide>(spec, full_mesh);
+    const auto seed = run_transfers<SeedSide>(spec, full_mesh);
     const std::string where =
-        std::string(spec.label()) + " / " + backend.label;
+        spec.label() + (full_mesh ? " / full-mesh" : " / culled");
     EXPECT_TRUE(seed.all_complete) << where << ": seed run incomplete";
     EXPECT_EQ(pluggable.digest, seed.digest)
         << where << ": pluggable vs seed trace digest diverged";

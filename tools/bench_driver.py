@@ -17,10 +17,17 @@ Usage:
     tools/bench_driver.py [--build-dir build] [--jobs N] [--output PATH]
                           [--baseline PATH] [--update-baseline PATH]
                           [--threshold PCT] [--allow-removed NAME ...]
+    tools/bench_driver.py --self-test
 
 The aggregate lands in <build-dir>/bench/BENCH_REPORT.json by default.
-bench_micro (google-benchmark) is skipped: it has no JSON report and
-measures wall-clock, which a saturated machine would distort.
+The benches run are exactly the targets bench/CMakeLists.txt configured,
+read from <build-dir>/bench/bench_targets.txt — never whatever bench_*
+files happen to sit on disk, so a binary left behind by a deleted bench
+cannot keep its metrics alive. A missing list, or a listed bench that
+was not built, is an error. bench_micro (google-benchmark) is skipped:
+it has no JSON report and measures wall-clock, which a saturated machine
+would distort. `--self-test` checks the discovery rules on a throwaway
+build tree.
 
 With --baseline, every numeric table cell (leading number of each cell,
 so "0.275 Mbps" and "10.9%" count) except machine-dependent wall-clock
@@ -139,18 +146,75 @@ def check_baseline(metrics: dict[str, float], baseline: dict,
     return failures
 
 
+TARGETS_FILE = "bench_targets.txt"
+
+
 def discover(bench_dir: Path) -> list[Path]:
+    """The configured bench binaries, from the list bench/CMakeLists.txt
+    writes into the bench build directory."""
+    listing = bench_dir / TARGETS_FILE
+    if not listing.is_file():
+        sys.exit(f"bench_driver: no {TARGETS_FILE} under {bench_dir} "
+                 "(configure the build first: cmake -B <build-dir> -S .)")
+    names = [line.strip() for line in listing.read_text().splitlines()
+             if line.strip() and line.strip() not in SKIP]
+    if not names:
+        sys.exit(f"bench_driver: {listing} names no benches")
     # Resolved to absolute paths: each bench runs with cwd set to a
     # scratch directory, where a relative --build-dir would not resolve.
-    benches = [
-        path.resolve()
-        for path in sorted(bench_dir.glob("bench_*"))
-        if path.is_file() and os.access(path, os.X_OK) and path.name not in SKIP
-    ]
-    if not benches:
-        sys.exit(f"bench_driver: no bench binaries under {bench_dir} "
+    benches = [(bench_dir / name).resolve() for name in sorted(names)]
+    unbuilt = [path.name for path in benches
+               if not (path.is_file() and os.access(path, os.X_OK))]
+    if unbuilt:
+        sys.exit(f"bench_driver: configured bench(es) not built under "
+                 f"{bench_dir}: {', '.join(unbuilt)} "
                  "(build them first: cmake --build <build-dir>)")
     return benches
+
+
+def self_test() -> int:
+    """Discovery follows the configured list: a stale bench_* binary on
+    disk is ignored, and a missing list or an unbuilt listed bench is an
+    error rather than a silently smaller run."""
+    failures = []
+
+    def executable(path: Path) -> None:
+        path.write_text("#!/bin/sh\n")
+        path.chmod(0o755)
+
+    def exits(bench_dir: Path) -> bool:
+        try:
+            discover(bench_dir)
+        except SystemExit:
+            return True
+        return False
+
+    with tempfile.TemporaryDirectory() as td:
+        bench_dir = Path(td)
+        for name in ("bench_a", "bench_b", "bench_micro", "bench_stale"):
+            executable(bench_dir / name)
+
+        if not exits(bench_dir):
+            failures.append("a missing target list was not an error")
+
+        (bench_dir / TARGETS_FILE).write_text(
+            "bench_b\nbench_micro\nbench_a\n")
+        found = [path.name for path in discover(bench_dir)]
+        if found != ["bench_a", "bench_b"]:
+            failures.append(f"expected [bench_a, bench_b] (stale binary and "
+                            f"bench_micro skipped), got {found}")
+
+        (bench_dir / TARGETS_FILE).write_text("bench_a\nbench_gone\n")
+        if not exits(bench_dir):
+            failures.append("a listed but unbuilt bench was not an error")
+
+    for failure in failures:
+        print(f"bench_driver self-test: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print("bench_driver self-test: OK (stale binaries ignored, missing list "
+          "and unbuilt benches refused)")
+    return 0
 
 
 def source_tree_hash(repo_root: Path) -> str:
@@ -251,7 +315,12 @@ def main() -> int:
                              "gate; repeatable. For intentionally dropped "
                              "or renamed tables — follow up with "
                              "--update-baseline and commit it.")
+    parser.add_argument("--self-test", action="store_true",
+                        help="check bench discovery on a throwaway tree "
+                             "and exit")
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
 
     bench_dir = args.build_dir / "bench"
     benches = discover(bench_dir)
